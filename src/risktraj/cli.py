@@ -25,6 +25,7 @@ from .io_formats import (
     config_to_parser,
     format_number,
     parser_to_config,
+    read_config_parser,
     read_trajectory,
     report_to_text,
     write_report,
@@ -40,11 +41,7 @@ _COMPARISON_SCHEMA = "risktraj.comparison.v1"
 def _load_parser(config_arg: str) -> configparser.ConfigParser:
     if config_arg == "default":
         return config_to_parser(default_config())
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    with open(config_arg) as fh:
-        parser.read_file(fh)
-    return parser
+    return read_config_parser(config_arg)
 
 
 def _resolve_config(args):

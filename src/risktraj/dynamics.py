@@ -1,10 +1,12 @@
 """Fixed-step RK4 integration of disturbance-driven dynamics.
 
-State vectors are plain 1-D numpy arrays. A system is described by its
-right-hand side f(t, x, d) plus an optional scalar observable; systems
-that carry a discrete companion mode (e.g. a load-shedding flag) declare
-a mode_update hook, which is applied once per full step so the RK4
-substeps always see a frozen mode.
+The state is one Python float, stepped without numpy so a step costs a
+few microseconds of interpreter time; samples are written into
+preallocated arrays. A system is described by its right-hand side
+f(t, x, d) plus an optional observable; systems that carry a discrete
+companion mode (e.g. a load-shedding flag) declare a mode_update hook,
+which is applied once per full step so the RK4 substeps always see a
+frozen mode.
 """
 
 from __future__ import annotations
@@ -52,42 +54,36 @@ def evaluate_disturbance(signal: DisturbanceSignal, t: float, neutral: float) ->
 
 @dataclass(frozen=True)
 class DynamicalSystem:
-    """Right-hand side bundle handed to integrate().
+    """Right-hand side bundle handed to integrate(); the state is one float.
 
-    rhs(t, x, d) must be a pure function returning a derivative array of
-    the declared dimension. When mode_update is set, rhs receives the
-    current mode as a fourth argument and mode_update(t, x, mode) is
-    called once at the start of every step (never inside substeps).
-    project, when set, is applied to the state after every step (state
-    constraints such as storage saturation).
+    rhs(t, x, d) must be a pure function returning dx/dt as a float. When
+    mode_update is set, rhs receives the current mode as a fourth argument
+    and mode_update(t, x, mode) is called once at the start of every step
+    (never inside substeps) and once at the end time. project, when set,
+    maps the state to the admissible set after every step (state
+    constraints such as storage saturation) and must let NaN through so
+    divergence is still reported. output_map(times, states), when set, is
+    called once on the recorded arrays and returns the observable array.
     """
 
-    dimension: int
-    rhs: Callable[..., np.ndarray]
-    output_map: Callable[[float, np.ndarray], float] | None = None
-    mode_update: Callable[[float, np.ndarray, Any], Any] | None = None
+    rhs: Callable[..., float]
+    output_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    mode_update: Callable[[float, float, Any], Any] | None = None
     mode_init: Any = None
-    project: Callable[[np.ndarray], np.ndarray] | None = None
+    project: Callable[[float], float] | None = None
     disturbance_neutral: float = 0.0
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ParameterError(f"dimension must be >= 1, got {self.dimension}")
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integration window. method is pinned to classical RK4."""
+    """Fixed-step classical RK4 integration window."""
 
     dt: float
     t_start: float
     t_end: float
-    method: str = "rk4"
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.method != "rk4":
-            raise ConfigurationError(f"unsupported method {self.method!r}")
         span = self.t_end - self.t_start
         if not (self.dt > 0 and self.dt <= span):
             raise ConfigurationError(
@@ -110,7 +106,7 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """Recorded state components, optional observable, optional mode track."""
+    """Recorded state (a 1-tuple), optional observable, optional mode track."""
 
     grid: TimeGrid
     states: tuple[Trajectory, ...]
@@ -120,22 +116,22 @@ class IntegrationResult:
 
 def integrate(
     system: DynamicalSystem,
-    x0: np.ndarray,
+    x0: float | np.ndarray,
     disturbance: DisturbanceSignal,
     config: IntegratorConfig,
 ) -> IntegrationResult:
     """Classical RK4 with the disturbance sampled at the substep times.
 
-    The disturbance is evaluated at (t, t+dt/2, t+dt/2, t+dt) and held
-    fixed within each substep; pulse edges are not located sub-step, so
-    keep dt small relative to the pulse duration.
+    x0 is a float or a length-1 array. The disturbance is evaluated at
+    (t, t+dt/2, t+dt/2, t+dt) and held fixed within each substep; pulse
+    edges are not located sub-step, so keep dt small relative to the
+    pulse duration.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (system.dimension,):
-        raise ParameterError(
-            f"x0 shape {x.shape} does not match system dimension {system.dimension}"
-        )
-    if not np.all(np.isfinite(x)):
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape not in ((), (1,)):
+        raise ParameterError(f"x0 must hold one value, got shape {x0.shape}")
+    x = x0.item()
+    if not math.isfinite(x):
         raise ParameterError("x0 must be finite")
     if (
         disturbance.kind == "pulse"
@@ -149,6 +145,7 @@ def integrate(
 
     n_steps = config.n_steps()
     grid = TimeGrid(config.t_start, config.dt, n_steps + 1)
+    t_start = config.t_start
     dt = config.dt
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -165,67 +162,57 @@ def integrate(
         def dist(t: float) -> float:
             return magnitude if onset <= t < offset else neutral
 
-    rhs = system.rhs
-    has_mode = system.mode_update is not None
+    mode_update = system.mode_update
     mode = system.mode_init
-    modes: list[Any] = [] if has_mode else None
-    if system.project is not None:
-        x = np.asarray(system.project(x), dtype=float)
+    if mode_update is None:
+        plain = system.rhs
 
-    states = np.empty((n_steps + 1, system.dimension))
+        def rhs(t: float, x: float, d: float, _mode: Any) -> float:
+            return plain(t, x, d)
+    else:
+        rhs = system.rhs
+    project = system.project
+    if project is not None:
+        x = project(x)
+
+    states = np.empty(n_steps + 1)
     states[0] = x
+    modes = None if mode_update is None else np.empty(n_steps + 1, dtype=object)
 
+    t1 = grid.time_at(0)
     for k in range(n_steps):
-        t = grid.time_at(k)
+        t = t1
         tm = t + half
-        t1 = grid.time_at(k + 1)
-        if has_mode:
-            mode = system.mode_update(t, x, mode)
-            modes.append(mode)
-            d0 = dist(t)
-            dm = dist(tm)
-            d1 = dist(t1)
-            k1 = rhs(t, x, d0, mode)
-            k2 = rhs(tm, x + half * k1, dm, mode)
-            k3 = rhs(tm, x + half * k2, dm, mode)
-            k4 = rhs(t1, x + dt * k3, d1, mode)
-        else:
-            d0 = dist(t)
-            dm = dist(tm)
-            d1 = dist(t1)
-            k1 = rhs(t, x, d0)
-            k2 = rhs(tm, x + half * k1, dm)
-            k3 = rhs(tm, x + half * k2, dm)
-            k4 = rhs(t1, x + dt * k3, d1)
+        t1 = t_start + (k + 1) * dt  # grid.time_at(k + 1), inlined
+        if mode_update is not None:
+            mode = mode_update(t, x, mode)
+            modes[k] = mode
+        dm = dist(tm)
+        k1 = rhs(t, x, dist(t), mode)
+        k2 = rhs(tm, x + half * k1, dm, mode)
+        k3 = rhs(tm, x + half * k2, dm, mode)
+        k4 = rhs(t1, x + dt * k3, dist(t1), mode)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if system.project is not None:
-            x = np.asarray(system.project(x), dtype=float)
-        if not np.all(np.isfinite(x)):
+        if project is not None:
+            x = project(x)
+        if not math.isfinite(x):
             raise IntegrationDivergedError(
                 f"non-finite state at t={t1}", time=t1
             )
         states[k + 1] = x
 
-    if has_mode:
-        mode = system.mode_update(grid.t_end, x, mode)
-        modes.append(mode)
+    if mode_update is not None:
+        modes[n_steps] = mode_update(grid.t_end, x, mode)
 
-    state_trajs = tuple(
-        Trajectory(grid, states[:, i]) for i in range(system.dimension)
-    )
     observable = None
     if system.output_map is not None:
-        times = grid.times()
-        obs = np.empty(n_steps + 1)
-        for k in range(n_steps + 1):
-            obs[k] = system.output_map(times[k], states[k])
-        observable = Trajectory(grid, obs)
+        observable = Trajectory(grid, system.output_map(grid.times(), states))
 
     return IntegrationResult(
         grid=grid,
-        states=state_trajs,
+        states=(Trajectory(grid, states),),
         observable=observable,
-        modes=tuple(modes) if has_mode else None,
+        modes=None if modes is None else tuple(modes),
     )
 
 
@@ -239,11 +226,7 @@ def linear_decay_system(lam: float) -> DynamicalSystem:
     if not (lam > 0 and math.isfinite(lam)):
         raise ParameterError(f"decay rate must be > 0, got {lam}")
 
-    def rhs(_t: float, x: np.ndarray, _d: float) -> np.ndarray:
+    def rhs(_t: float, x: float, _d: float) -> float:
         return -lam * x
 
-    return DynamicalSystem(
-        dimension=1,
-        rhs=rhs,
-        output_map=lambda _t, x: float(x[0]),
-    )
+    return DynamicalSystem(rhs=rhs, output_map=lambda _t, x: x)

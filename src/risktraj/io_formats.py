@@ -159,7 +159,13 @@ def table_from_text(text: str) -> TrajectoryTable:
 
 
 def read_trajectory(source) -> TrajectoryTable:
-    return table_from_text(Path(source).read_text())
+    try:
+        text = Path(source).read_text()
+    except UnicodeDecodeError as exc:
+        raise TableParseError(
+            f"{source}: not a text file ({exc.reason} at byte {exc.start})"
+        ) from None
+    return table_from_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +402,21 @@ def _get_num(parser, section: str, key: str) -> float:
     except KeyError:
         raise TableParseError(f"missing config key [{section}] {key}") from None
     try:
-        return float(raw)
+        value = float(raw)
+        if math.isfinite(value):
+            return value
     except ValueError:
+        pass
+    raise TableParseError(f"bad number for [{section}] {key}: {raw!r}")
+
+
+def _get_whole(parser, section: str, key: str) -> int:
+    value = _get_num(parser, section, key)
+    if not value.is_integer():
         raise TableParseError(
-            f"bad number for [{section}] {key}: {raw!r}"
-        ) from None
+            f"bad number for [{section}] {key}: {value!r} is not a whole number"
+        )
+    return int(value)
 
 
 def _get_bool(parser, section: str, key: str) -> bool:
@@ -462,14 +478,16 @@ def parser_to_config(parser: configparser.ConfigParser) -> ScenarioConfig:
         t_start=_get_num(parser, "integrator", "t_start_s"),
         t_end=_get_num(parser, "integrator", "t_end_s"),
     )
-    horizon_raw = parser["metrics"].get("horizon_s", "end")
+    horizon = None
+    if parser["metrics"].get("horizon_s", "end") != "end":
+        horizon = _get_num(parser, "metrics", "horizon_s")
     metrics = MetricsConfig(
         baseline_mode=parser["metrics"].get("baseline_mode", "zero"),
         tail_fraction=_get_num(parser, "metrics", "tail_fraction"),
         fit_floor_ratio=_get_num(parser, "metrics", "fit_floor_ratio"),
-        min_fit_samples=int(_get_num(parser, "metrics", "min_fit_samples")),
+        min_fit_samples=_get_whole(parser, "metrics", "min_fit_samples"),
         tail_correction=_get_bool(parser, "metrics", "tail_correction"),
-        horizon=None if horizon_raw == "end" else float(horizon_raw),
+        horizon=horizon,
         recovery_band_ratio=_get_num(parser, "metrics", "recovery_band_ratio"),
     )
     return ScenarioConfig(
@@ -492,15 +510,21 @@ def write_scenario_config(config: ScenarioConfig, destination) -> None:
     Path(destination).write_text(config_to_text(config), newline="\n")
 
 
-def read_scenario_config(source) -> ScenarioConfig:
+def read_config_parser(source) -> configparser.ConfigParser:
+    """Parse an INI config file; malformed or undecodable text is a TableParseError."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
         with open(source) as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
-        raise TableParseError(f"config parse failed: {exc}") from None
-    return parser_to_config(parser)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        message = " ".join(str(exc).split())  # one line on stderr
+        raise TableParseError(f"config parse failed: {message}") from None
+    return parser
+
+
+def read_scenario_config(source) -> ScenarioConfig:
+    return parser_to_config(read_config_parser(source))
 
 
 def apply_overrides(

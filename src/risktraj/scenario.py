@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .dynamics import (
 )
 from .errors import ConfigurationError, ParameterError
 from .metrics import MetricsConfig, ResilienceReport, assemble_report
-from .trajectory import Trajectory
+from .trajectory import TimeGrid, Trajectory
 
 CASE_IDS = ("passive", "reactive", "anticipatory")
 
@@ -210,14 +210,23 @@ class ScenarioConfig:
         return RiskMap(E_ref=self.energy.E_ref, E_min=self.energy.E_min)
 
 
+def _solar_law(profile: SolarProfile) -> Callable[[float], float]:
+    """Undisturbed input power t -> W, with the profile bound once."""
+    P_peak, period, shape = profile.P_peak, profile.period, profile.shape_exponent
+    if shape == 0.0:
+        return lambda _t: P_peak
+    two_pi = 2.0 * math.pi
+
+    def power(t: float) -> float:
+        s = math.sin(two_pi * t / period)
+        return P_peak * s ** shape if s > 0.0 else 0.0
+
+    return power
+
+
 def solar_power(t: float, profile: SolarProfile) -> float:
     """Undisturbed input power at time t."""
-    if profile.shape_exponent == 0.0:
-        return profile.P_peak
-    s = math.sin(2.0 * math.pi * t / profile.period)
-    if s <= 0.0:
-        return 0.0
-    return profile.P_peak * s ** profile.shape_exponent
+    return _solar_law(profile)(t)
 
 
 def solar_input(
@@ -227,10 +236,10 @@ def solar_input(
     return solar_power(t, profile) * evaluate_disturbance(disturbance, t, 1.0)
 
 
-def risk_of_energy(E: float, risk_map: RiskMap) -> float:
-    """Normalized risk level for a stored-energy value, clamped to [0, 1]."""
+def risk_of_energy(E, risk_map: RiskMap):
+    """Normalized risk for a stored-energy value or array, clamped to [0, 1]."""
     r = (risk_map.E_ref - E) / (risk_map.E_ref - risk_map.E_min)
-    return min(max(r, 0.0), 1.0)
+    return np.clip(r, 0.0, 1.0)
 
 
 class SolarEnergyTable:
@@ -238,7 +247,7 @@ class SolarEnergyTable:
 
     One period of the profile is integrated once on a fine grid; arbitrary
     intervals are then evaluated by periodic decomposition plus linear
-    interpolation. Deterministic and cheap enough for per-step use.
+    interpolation. Times may be floats or arrays.
     """
 
     _SAMPLES_PER_PERIOD = 4096
@@ -258,50 +267,70 @@ class SolarEnergyTable:
         self._cum = cum
         self._per_period = float(cum[-1])
 
-    def cumulative(self, t: float) -> float:
+    def cumulative(self, t):
         """Integral of the profile from 0 to t."""
-        periods, frac = divmod(t, self.profile.period)
-        return periods * self._per_period + float(
-            np.interp(frac, self._xs, self._cum)
-        )
+        periods, frac = np.divmod(t, self.profile.period)
+        return periods * self._per_period + np.interp(frac, self._xs, self._cum)
 
-    def between(self, t1: float, t2: float) -> float:
+    def between(self, t1, t2):
         return self.cumulative(t2) - self.cumulative(t1)
 
 
-def _forecast_energy(
-    policy: AnticipatoryPolicy, t: float, E: float, table: SolarEnergyTable
-) -> float:
-    return E + table.between(t, t + policy.horizon) - policy.P0 * policy.horizon
+def _shed_law(policy: LoadPolicy, inflow: Callable[[float], float] | None):
+    """Shedding-flag update (t, E, prev) -> bool for one policy.
 
-
-def _update_shed(
-    policy: LoadPolicy,
-    t: float,
-    E: float,
-    prev: bool,
-    table: SolarEnergyTable | None,
-) -> bool:
+    inflow(t) is the undisturbed input energy over [t, t + horizon]; only
+    the anticipatory policy uses it, to forecast the energy level.
+    """
     if isinstance(policy, PassivePolicy):
-        return False
+        return lambda _t, _E, _prev: False
     if isinstance(policy, ReactivePolicy):
-        if E < policy.E_on:
-            return True
-        if E > policy.E_off:
-            return False
-        return prev
-    return _forecast_energy(policy, t, E, table) < policy.E_target
+        E_on, E_off = policy.E_on, policy.E_off
+
+        def update(_t: float, E: float, prev: bool) -> bool:
+            if E < E_on:
+                return True
+            if E > E_off:
+                return False
+            return prev
+
+        return update
+    spent = policy.P0 * policy.horizon
+    E_target = policy.E_target
+    return lambda t, E, _prev: E + inflow(t) - spent < E_target
 
 
-def _load_with_flag(policy: LoadPolicy, E: float, shed: bool) -> float:
+def _load_law(policy: LoadPolicy) -> Callable[[float, bool], float]:
+    """Delivered load (E, shed) -> W for one policy, on floats."""
+    P0 = policy.P0
     if isinstance(policy, PassivePolicy):
-        return policy.P0
+        return lambda _E, _shed: P0
+    floor = P0 * (1.0 - policy.shed_fraction)
     if isinstance(policy, ReactivePolicy):
-        return policy.P0 * (1.0 - policy.shed_fraction) if shed else policy.P0
-    floor = policy.P0 * (1.0 - policy.shed_fraction)
-    base = floor if shed else policy.P0
-    raw = base - policy.gain * max(0.0, policy.E_target - E)
-    return min(max(raw, floor), policy.P0)
+        return lambda _E, shed: floor if shed else P0
+    gain, E_target = policy.gain, policy.E_target
+
+    def load(E: float, shed: bool) -> float:
+        # min/max spelled as comparisons: same values, half the call cost
+        short = E_target - E
+        raw = (floor if shed else P0) - gain * (short if short > 0.0 else 0.0)
+        raw = floor if floor > raw else raw
+        return P0 if P0 < raw else raw
+
+    return load
+
+
+def _load_series(policy: LoadPolicy, E: np.ndarray, shed: np.ndarray) -> np.ndarray:
+    """_load_law over recorded arrays; the same values, sample by sample."""
+    P0 = policy.P0
+    if isinstance(policy, PassivePolicy):
+        return np.full(len(E), P0)
+    floor = P0 * (1.0 - policy.shed_fraction)
+    base = np.where(shed, floor, P0)
+    if isinstance(policy, ReactivePolicy):
+        return base
+    raw = base - policy.gain * np.maximum(0.0, policy.E_target - E)
+    return np.clip(raw, floor, P0)
 
 
 def load_power(
@@ -312,18 +341,39 @@ def load_power(
     solar: SolarProfile,
 ) -> tuple[float, bool]:
     """Delivered load and updated shedding flag for one policy evaluation."""
-    table = (
-        SolarEnergyTable(solar) if isinstance(policy, AnticipatoryPolicy) else None
-    )
-    shed = _update_shed(policy, t, E, prev_shedding, table)
-    return _load_with_flag(policy, E, shed), shed
+    inflow = None
+    if isinstance(policy, AnticipatoryPolicy):
+        table = SolarEnergyTable(solar)
+
+        def inflow(t: float) -> float:
+            return table.between(t, t + policy.horizon)
+
+    shed = _shed_law(policy, inflow)(t, E, prev_shedding)
+    return _load_law(policy)(E, shed), shed
+
+
+def _grid_inflow(
+    policy: AnticipatoryPolicy, solar: SolarProfile, integrator: IntegratorConfig
+) -> Callable[[float], float]:
+    """Forecast inflow at the integration grid times, computed once.
+
+    The shedding flag is only updated at grid times, so one vectorised
+    table lookup replaces two per step; a grid time maps back to its
+    sample index by rounding.
+    """
+    times = TimeGrid(
+        integrator.t_start, integrator.dt, integrator.n_steps() + 1
+    ).times()
+    inflow = SolarEnergyTable(solar).between(times, times + policy.horizon).tolist()
+    t_start, dt = integrator.t_start, integrator.dt
+    return lambda t: inflow[round((t - t_start) / dt)]
 
 
 def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
     """One-dimensional energy system for the requested case.
 
     dE/dt = P_in(t)*d(t) - P_load, with the state clamped to [0, E_max]
-    (net inflow is zeroed at the saturated bounds) and risk as the scalar
+    (net inflow is zeroed at the saturated bounds) and risk as the
     observable. The shedding flag evolves as a discrete companion state
     updated once per integration step.
     """
@@ -337,30 +387,34 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
             f"policy for case {case_id!r} is {type(policy).__name__}"
         )
 
-    solar = config.solar
+    solar = _solar_law(config.solar)
     E_max = config.energy.E_max
     rmap = config.risk_map()
-    table = (
-        SolarEnergyTable(solar) if isinstance(policy, AnticipatoryPolicy) else None
+    load = _load_law(policy)
+    inflow = (
+        _grid_inflow(policy, config.solar, config.integrator)
+        if isinstance(policy, AnticipatoryPolicy)
+        else None
     )
 
-    def rhs(t: float, x: np.ndarray, d: float, shed: bool) -> np.ndarray:
-        E = x[0]
-        net = solar_power(t, solar) * d - _load_with_flag(policy, E, shed)
+    def rhs(t: float, E: float, d: float, shed: bool) -> float:
+        net = solar(t) * d - load(E, shed)
         if (E >= E_max and net > 0.0) or (E <= 0.0 and net < 0.0):
             net = 0.0
-        return np.array((net,))
+        return net
 
-    def mode_update(t: float, x: np.ndarray, shed: bool) -> bool:
-        return _update_shed(policy, t, x[0], shed, table)
+    def project(E):
+        # Elementwise on arrays too; NaN passes through to the divergence check.
+        if isinstance(E, np.ndarray):
+            return np.clip(E, 0.0, E_max)
+        return 0.0 if E < 0.0 else E_max if E > E_max else E
 
     return DynamicalSystem(
-        dimension=1,
         rhs=rhs,
-        output_map=lambda _t, x: risk_of_energy(x[0], rmap),
-        mode_update=mode_update,
+        output_map=lambda _t, E: risk_of_energy(E, rmap),
+        mode_update=_shed_law(policy, inflow),
         mode_init=False,
-        project=lambda x: np.clip(x, 0.0, E_max),
+        project=project,
         disturbance_neutral=1.0,
     )
 
@@ -396,10 +450,7 @@ def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
     """
     system = build_case(case_id, config)
     result = integrate(
-        system,
-        np.array((config.energy.E_init,)),
-        config.disturbance,
-        config.integrator,
+        system, config.energy.E_init, config.disturbance, config.integrator
     )
     grid = result.grid
     times = grid.times()
@@ -421,11 +472,10 @@ def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
         factor = 1.0
     p_in = Trajectory(grid, p_clear * factor)
 
-    policy = config.policies[case_id]
-    loads = np.empty(grid.n_samples)
-    for k in range(grid.n_samples):
-        loads[k] = _load_with_flag(policy, energy.values[k], result.modes[k])
-    p_load = Trajectory(grid, loads)
+    shed = np.array(result.modes, dtype=bool)
+    p_load = Trajectory(
+        grid, _load_series(config.policies[case_id], energy.values, shed)
+    )
 
     t0 = d.onset if d.kind == "pulse" else config.integrator.t_start
     report = assemble_report(risk, t0, config.metrics)

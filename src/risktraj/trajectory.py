@@ -49,8 +49,10 @@ class TimeGrid:
     def index_at_or_after(self, t: float) -> int:
         """Smallest sample index k with time_at(k) >= t (up to half-step slack).
 
-        Raises ParameterError when t lies outside the grid span.
+        Raises ParameterError when t is not finite or lies outside the grid span.
         """
+        if not math.isfinite(t):
+            raise ParameterError(f"time {t} is not finite")
         if t < self.t_start - 0.5 * self.dt or t > self.t_end + 0.5 * self.dt:
             raise ParameterError(
                 f"time {t} outside trajectory range [{self.t_start}, {self.t_end}]"

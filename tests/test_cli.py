@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import risktraj
 from risktraj.cli import main
 from risktraj.io_formats import (
     TrajectoryTable,
@@ -86,6 +89,35 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
 
 
+class TestBadConfigValues:
+    @pytest.mark.parametrize("override", [
+        "policy.anticipatory.gain_W_per_J=nan",
+        "policy.passive.P0_W=inf",
+        "metrics.horizon_s=abc",
+        "metrics.min_fit_samples=3.9",
+    ])
+    def test_rejected_as_bad_number(self, tmp_path, capsys, override):
+        code = main(["simulate", "--case", "passive",
+                     "--out", str(tmp_path / "o"), "--set", override])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad number for [")
+        assert not (tmp_path / "o" / "passive_trajectory.csv").exists()
+
+    @pytest.mark.parametrize("content", [
+        b"[energy\nfoo\n",
+        b"[energy]\nE_max_J = 100 \xb5\n",
+    ])
+    def test_malformed_ini(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(content)
+        code = main(["simulate", "--case", "passive", "--config", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config parse failed") and err.count("\n") == 1
+
+
 class TestAnalyze:
     def test_matches_generator_rate(self, tmp_path, capsys):
         csv = tmp_path / "exp.csv"
@@ -120,6 +152,20 @@ class TestAnalyze:
         code = main(["analyze", str(bad)])
         assert code == 1
         assert "line 3" in capsys.readouterr().err
+
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"t,r\n0,1\n0.5,0.5\n1,0.25 \xb5\n")
+        code = main(["analyze", str(bad)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_t0_nan_rejected(self, tmp_path, capsys):
+        csv = tmp_path / "exp.csv"
+        write_exp_csv(csv)
+        code = main(["analyze", str(csv), "--t0", "nan"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: time nan is not finite")
 
     def test_output_file(self, tmp_path):
         csv = tmp_path / "exp.csv"
@@ -221,13 +267,20 @@ class TestEmitPlot:
         assert "passive_trajectory" in text
 
 
+def _child_env():
+    """Environment whose python imports the same risktraj as this test."""
+    src = str(Path(risktraj.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+
+
 class TestModuleInvocation:
     def test_python_dash_m(self, tmp_path):
         out = tmp_path / "run"
         proc = subprocess.run(
             [sys.executable, "-m", "risktraj", "simulate", "--case", "passive",
              "--out", str(out), *FAST],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "passive_trajectory.csv").exists()
@@ -236,6 +289,6 @@ class TestModuleInvocation:
         proc = subprocess.run(
             [sys.executable, "-m", "risktraj", "simulate", "--case", "bogus",
              "--out", "x"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 2

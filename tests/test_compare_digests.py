@@ -14,7 +14,7 @@ import pytest
 
 from risktraj.cli import main
 from risktraj.io_formats import apply_overrides, config_to_parser, parser_to_config
-from risktraj.scenario import CASE_IDS, compare_cases, default_config
+from risktraj.scenario import CASE_IDS, compare_cases, default_config, run_case
 
 COARSE = "integrator.dt_s=0.02"
 
@@ -93,3 +93,34 @@ def test_shed_modes_pinned(coarse_comparison, case_id):
     shed = coarse_comparison.cases[case_id].shed
     assert shed == _shed_tuple(SHED_SWITCHES[case_id])
     assert all(isinstance(flag, (bool, np.bool_)) for flag in shed)
+
+
+# Runs that sit on the storage bounds, so the clamp and the zeroed net
+# inflow are exercised: sha256 of the little-endian E, P_load and r samples
+# followed by one byte per shed flag, recorded like the digests above.
+CLAMPED_RUNS = {
+    "full": (
+        ["solar.P_peak_W=40"],  # 436 samples at E_max
+        "04551a383e38399ed4371811567d68fe4ac3d6ae25b46539ac41a409acb41ab4",
+    ),
+    "empty": (
+        ["policy.passive.P0_W=6"],  # 1,123 samples at 0
+        "20cf9bf829b2d2c13bb4b24c8289ace0b74bd358acdfa30178c20a880a6337ce",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLAMPED_RUNS))
+def test_clamped_runs_pinned(name):
+    overrides, expected = CLAMPED_RUNS[name]
+    parser = apply_overrides(
+        config_to_parser(default_config()),
+        [COARSE, "integrator.t_end_s=48", *overrides],
+    )
+    result = run_case("passive", parser_to_config(parser))
+    blob = b"".join(
+        values.astype("<f8").tobytes()
+        for values in (result.energy.values, result.p_load.values, result.risk.values)
+    )
+    blob += bytes(np.asarray(result.shed, dtype=bool))
+    assert hashlib.sha256(blob).hexdigest() == expected

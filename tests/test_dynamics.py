@@ -57,15 +57,8 @@ class TestIntegrate:
         )
         assert abs(result.states[0].values[-1] - math.exp(-1.0)) < 1e-10
 
-    def test_zero_dynamics_constant(self):
-        system = DynamicalSystem(dimension=2, rhs=lambda t, x, d: np.zeros(2))
-        result = run(system, [3.0, -1.5],
-                     IntegratorConfig(dt=0.1, t_start=0.0, t_end=5.0))
-        assert np.all(result.states[0].values == 3.0)
-        assert np.all(result.states[1].values == -1.5)
-
     def test_unit_slope_exact(self):
-        system = DynamicalSystem(dimension=1, rhs=lambda t, x, d: np.ones(1))
+        system = DynamicalSystem(rhs=lambda t, x, d: 1.0)
         result = run(system, [0.0],
                      IntegratorConfig(dt=0.01, t_start=0.0, t_end=2.0))
         assert result.states[0].values[-1] == pytest.approx(2.0, rel=1e-13)
@@ -88,9 +81,7 @@ class TestIntegrate:
             assert 3.7 <= math.log2(ratio) <= 4.3
 
     def test_equilibrium_preserved_exactly(self):
-        system = DynamicalSystem(
-            dimension=1, rhs=lambda t, x, d: np.array([-(x[0] - 2.0)])
-        )
+        system = DynamicalSystem(rhs=lambda t, x, d: -(x - 2.0))
         result = run(system, [2.0],
                      IntegratorConfig(dt=0.1, t_start=0.0, t_end=10.0))
         assert np.all(result.states[0].values == 2.0)
@@ -104,7 +95,7 @@ class TestIntegrate:
     def test_time_shift_equivariance(self):
         # dyadic dt and integer shift keep the arithmetic exactly equal
         dt = 1.0 / 128.0
-        system = DynamicalSystem(dimension=1, rhs=lambda t, x, d: np.array([d]))
+        system = DynamicalSystem(rhs=lambda t, x, d: d)
         shift = 5.0
 
         base = run(
@@ -126,10 +117,10 @@ class TestIntegrate:
 
         def rhs(t, x, d):
             seen.append((t, d))
-            return np.zeros(1)
+            return 0.0
 
         run(
-            DynamicalSystem(dimension=1, rhs=rhs, disturbance_neutral=1.0),
+            DynamicalSystem(rhs=rhs, disturbance_neutral=1.0),
             [0.0],
             IntegratorConfig(dt=1.0, t_start=0.0, t_end=1.0),
             DisturbanceSignal(kind="pulse", onset=0.5, duration=10.0, magnitude=0.2),
@@ -137,7 +128,7 @@ class TestIntegrate:
         assert [d for _, d in seen] == [1.0, 0.2, 0.2, 0.2]
 
     def test_divergence_reports_time(self):
-        system = DynamicalSystem(dimension=1, rhs=lambda t, x, d: x * x)
+        system = DynamicalSystem(rhs=lambda t, x, d: x * x)
         with pytest.raises(IntegrationDivergedError) as exc_info:
             run(system, [10.0], IntegratorConfig(dt=0.05, t_start=0.0, t_end=5.0))
         assert 0.0 < exc_info.value.time <= 5.0
@@ -162,6 +153,12 @@ class TestIntegrate:
             run(linear_decay_system(1.0), [1.0, 2.0],
                 IntegratorConfig(dt=0.1, t_start=0.0, t_end=1.0))
 
+    def test_float_x0_matches_length1_array(self):
+        config = IntegratorConfig(dt=0.1, t_start=0.0, t_end=1.0)
+        a = integrate(linear_decay_system(1.0), 2.0, NO_DIST, config)
+        b = run(linear_decay_system(1.0), [2.0], config)
+        assert np.array_equal(a.states[0].values, b.states[0].values)
+
     def test_short_pulse_warns(self):
         config = IntegratorConfig(dt=0.1, t_start=0.0, t_end=2.0)
         sig = DisturbanceSignal(kind="pulse", onset=1.0, duration=0.5, magnitude=0.2)
@@ -177,8 +174,7 @@ class TestIntegrate:
             return mode + 1
 
         system = DynamicalSystem(
-            dimension=1,
-            rhs=lambda t, x, d, mode: np.array([float(mode)]),
+            rhs=lambda t, x, d, mode: float(mode),
             mode_update=mode_update,
             mode_init=0,
         )

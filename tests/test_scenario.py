@@ -218,6 +218,20 @@ class TestRunCase:
             assert np.all(loads >= 2.75 * 0.5 - 1e-12)
             assert np.all(loads <= 2.75 + 1e-12)
 
+    def test_recorded_load_and_shed_match_scalar_policy(self, default_comparison):
+        # run_case records P_load with array operations; load_power is the
+        # per-sample reference and must agree exactly, shed flag included.
+        config = default_config()
+        for case_id in CASE_IDS:
+            result = default_comparison.cases[case_id]
+            t = result.energy.times()
+            E, loads = result.energy.values, result.p_load.values
+            for k in range(1, len(t), 211):
+                assert load_power(
+                    t[k], E[k], result.shed[k - 1],
+                    config.policies[case_id], config.solar,
+                ) == (loads[k], result.shed[k])
+
     def test_hysteresis_no_chattering(self, default_comparison):
         result = default_comparison.cases["reactive"]
         shed = np.array(result.shed, dtype=bool)
