@@ -5,6 +5,10 @@ recorded signal; report documents and scenario configs are flat
 key-value text. All numbers are written with 17 significant digits so
 that write -> read -> write is byte-identical for double precision.
 Writers never embed timestamps; identical inputs give identical bytes.
+
+When a trajectory CSV is read, each cell accepts what Python `float`
+accepts (surrounding whitespace included), blank lines are skipped, and
+a bad row is reported by its line number in the file.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import configparser
 import hashlib
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -36,9 +41,12 @@ ARTIFACT_VERSION = "0.1.0"
 REPORT_SCHEMA = "risktraj.report.v1"
 
 
+NUMBER_FORMAT = "%.17g"  # format_number and the trajectory writer both use it
+
+
 def format_number(x: float) -> str:
     """17-significant-digit decimal form; lossless for binary doubles."""
-    return format(float(x), ".17g")
+    return NUMBER_FORMAT % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -102,38 +110,75 @@ class TrajectoryTable:
         return Trajectory(self.grid(), self.signals[name])
 
 
-def table_to_text(table: TrajectoryTable) -> str:
-    out = io.StringIO()
-    out.write(",".join(table.column_names) + "\n")
+_BLOCK_ROWS = 4096  # rows formatted per `%` operation; bounds peak memory
+
+
+def _table_chunks(table: TrajectoryTable):
+    """CSV text of `table`: the header line, then blocks of formatted rows."""
+    yield ",".join(table.column_names) + "\n"
     columns = [table.t, *table.signals.values()]
-    for row in zip(*columns):
-        out.write(",".join(format_number(v) for v in row) + "\n")
-    return out.getvalue()
+    row = ",".join([NUMBER_FORMAT] * len(columns)) + "\n"
+    for start in range(0, len(table.t), _BLOCK_ROWS):
+        block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
+        yield (row * len(block)) % tuple(block.ravel().tolist())
+
+
+def table_to_text(table: TrajectoryTable) -> str:
+    return "".join(_table_chunks(table))
 
 
 def write_trajectory(table: TrajectoryTable, destination) -> None:
-    Path(destination).write_text(table_to_text(table), newline="\n")
+    with open(destination, "w", newline="\n") as fh:
+        fh.writelines(_table_chunks(table))
 
 
-def table_from_text(text: str) -> TrajectoryTable:
-    lines = text.splitlines()
-    if not lines:
-        raise TableParseError("empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    if len(header) < 2 or header[0] != "t":
-        raise TableParseError(
-            f"header must be 't,<signal>[,...]', got {lines[0]!r}", line_no=1
-        )
-    if len(set(header)) != len(header):
-        raise TableParseError("duplicate column names", line_no=1)
-    rows = []
-    for idx, line in enumerate(lines[1:], start=2):
+# Line breaks that str.splitlines() honours but numpy's reader does not (it
+# takes "\n" and "\r\n" as line ends and refuses a lone "\r"). Text holding
+# any of them is parsed line by line, so that rows keep today's boundaries.
+_SPLITLINES_ONLY_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                           "\u2028", "\u2029")
+
+
+def _load_rows(text: str, n_columns: int) -> np.ndarray | None:
+    """Parse the body below the header in one C-level pass.
+
+    Returns the rows only when they are certain to equal what `_scan_rows`
+    gives and pass every check of `table_from_text`; otherwise None, and
+    the line scan decides (and words any error).
+    """
+    if any(brk in text for brk in _SPLITLINES_ONLY_BREAKS):
+        return None
+    try:
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError:  # lone surrogates
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on a body with no rows
+        try:
+            data = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1, ndmin=2,
+                              comments=None, encoding="utf-8")
+        except ValueError:
+            return None
+    if (data.shape[1] != n_columns or len(data) < 2
+            or not np.isfinite(data).all() or not (np.diff(data[:, 0]) > 0).all()):
+        return None
+    return data
+
+
+def _scan_rows(text: str, n_columns: int) -> tuple[list[list[float]], list[int]]:
+    """Parse the body line by line: the rows and the line number of each.
+
+    Blank lines are skipped. A row with the wrong number of cells, a cell
+    Python `float` rejects or a non-finite value raises, naming its line.
+    """
+    rows, line_nos = [], []
+    for idx, line in enumerate(text.splitlines()[1:], start=2):
         if not line.strip():
             continue
         cells = line.split(",")
-        if len(cells) != len(header):
+        if len(cells) != n_columns:
             raise TableParseError(
-                f"expected {len(header)} cells, found {len(cells)}", line_no=idx
+                f"expected {n_columns} cells, found {len(cells)}", line_no=idx
             )
         try:
             values = [float(c) for c in cells]
@@ -142,16 +187,35 @@ def table_from_text(text: str) -> TrajectoryTable:
         if not all(math.isfinite(v) for v in values):
             raise TableParseError("non-finite value", line_no=idx)
         rows.append(values)
-    if len(rows) < 2:
-        raise TableParseError(f"need at least 2 data rows, found {len(rows)}")
-    data = np.array(rows)
-    t = data[:, 0]
-    if np.any(np.diff(t) <= 0):
-        bad = int(np.flatnonzero(np.diff(t) <= 0)[0])
-        raise TableParseError("t not strictly increasing", line_no=bad + 3)
+        line_nos.append(idx)
+    return rows, line_nos
+
+
+def table_from_text(text: str) -> TrajectoryTable:
+    if not text:
+        raise TableParseError("empty file")
+    # The first line as splitlines() would cut it, without splitting the rest.
+    first_line = (text.partition("\n")[0].splitlines() or [""])[0]
+    header = [h.strip() for h in first_line.split(",")]
+    if len(header) < 2 or header[0] != "t":
+        raise TableParseError(
+            f"header must be 't,<signal>[,...]', got {first_line!r}", line_no=1
+        )
+    if len(set(header)) != len(header):
+        raise TableParseError("duplicate column names", line_no=1)
+    data = _load_rows(text, len(header))
+    if data is None:
+        rows, line_nos = _scan_rows(text, len(header))
+        if len(rows) < 2:
+            raise TableParseError(f"need at least 2 data rows, found {len(rows)}")
+        data = np.array(rows)
+        steps = np.diff(data[:, 0])
+        if np.any(steps <= 0):
+            bad = int(np.flatnonzero(steps <= 0)[0])
+            raise TableParseError("t not strictly increasing", line_no=line_nos[bad + 1])
     try:
         return TrajectoryTable(
-            t=t,
+            t=data[:, 0],
             signals={name: data[:, j] for j, name in enumerate(header) if j > 0},
         )
     except ParameterError as exc:

@@ -1,9 +1,13 @@
 import configparser
 import dataclasses
+import math
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from risktraj.dynamics import DisturbanceSignal
 from risktraj.errors import ParameterError, TableParseError
@@ -14,6 +18,7 @@ from risktraj.io_formats import (
     config_digest,
     config_to_parser,
     config_to_text,
+    format_number,
     parser_to_config,
     read_report,
     read_scenario_config,
@@ -142,6 +147,218 @@ class TestTrajectoryParsingErrors:
     def test_empty(self):
         with pytest.raises(TableParseError):
             table_from_text("")
+
+    def test_non_increasing_time_after_blank_line(self):
+        text = "t,r\n\n0,1\n0.5,1\n0.5,1\n"
+        with pytest.raises(TableParseError, match="^line 5: t not strictly increasing$"):
+            table_from_text(text)
+
+    def test_non_increasing_time_after_blank_lines_between_rows(self):
+        text = "t,r\n0,1\n\n\n0.5,1\n0.25,1\n"
+        with pytest.raises(TableParseError, match="^line 6: t not strictly increasing$"):
+            table_from_text(text)
+
+    @pytest.mark.parametrize("text", ["t,r\n", "t,r\n\n  \n", "t,r\n0,1\n"])
+    def test_no_data_raises_without_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TableParseError, match="need at least 2 data rows"):
+                table_from_text(text)
+
+
+def reference_table_from_text(text: str) -> TrajectoryTable:
+    """The per-line reader: every line from splitlines(), one float() per cell."""
+    lines = text.splitlines()
+    if not lines:
+        raise TableParseError("empty file")
+    header = [h.strip() for h in lines[0].split(",")]
+    if len(header) < 2 or header[0] != "t":
+        raise TableParseError(
+            f"header must be 't,<signal>[,...]', got {lines[0]!r}", line_no=1
+        )
+    if len(set(header)) != len(header):
+        raise TableParseError("duplicate column names", line_no=1)
+    rows, line_nos = [], []
+    for idx, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise TableParseError(
+                f"expected {len(header)} cells, found {len(cells)}", line_no=idx
+            )
+        try:
+            values = [float(c) for c in cells]
+        except ValueError as exc:
+            raise TableParseError(str(exc), line_no=idx) from None
+        if not all(math.isfinite(v) for v in values):
+            raise TableParseError("non-finite value", line_no=idx)
+        rows.append(values)
+        line_nos.append(idx)
+    if len(rows) < 2:
+        raise TableParseError(f"need at least 2 data rows, found {len(rows)}")
+    t = np.array([row[0] for row in rows])
+    for k in range(1, len(rows)):
+        if not t[k] > t[k - 1]:
+            raise TableParseError("t not strictly increasing", line_no=line_nos[k])
+    try:
+        return TrajectoryTable(
+            t=t,
+            signals={name: np.array([row[j] for row in rows])
+                     for j, name in enumerate(header) if j > 0},
+        )
+    except ParameterError as exc:
+        raise TableParseError(str(exc)) from None
+
+
+_GOOD_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda x: st.sampled_from([repr(x), f" {x!r} ", "%.3e" % x, "%.17g" % x])
+)
+_BAD_CELLS = st.sampled_from(
+    ["", " ", "nan", "inf", "-inf", "NaN", "1_0", "1_000.5", "abc", "0x1", "#1",
+     "1e999", "\xa01\xa0", "1\x00"]
+)
+_LINE_KINDS = ["row"] * 8 + ["blank", "spaces", "ragged", "trailing_comma",
+                             "bad_cell", "comment", "repeat_t", "back_t"]
+_LINE_ENDS = ["\n"] * 6 + ["\r\n", "\r", "\x0c", "\u2028"]
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly valid trajectory CSV text, with some lines of every known defect."""
+    n_cols = draw(st.integers(2, 4))
+    # Now and then every row has a column more or fewer than the header.
+    header_cols = max(2, n_cols + draw(st.sampled_from([0] * 6 + [-1, 1])))
+    lines = [",".join(["t"] + [f"s{j}" for j in range(1, header_cols)])]
+    # "clean" texts (valid rows and empty lines ended by "\n") reach the fast
+    # parse, "benign" ones the line scan without an error, "any" the errors.
+    mode = draw(st.sampled_from(["clean", "benign", "any"]))
+    kinds = {"clean": ["row"] * 8 + ["blank"],
+             "benign": ["row"] * 8 + ["blank", "spaces"],
+             "any": _LINE_KINDS}[mode]
+    k = 0
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=14)):
+        t = 0.25 * k
+        cells = [repr(t)] + [draw(_GOOD_NUMBERS) for _ in range(n_cols - 1)]
+        if kind == "row":
+            k += 1
+        elif kind == "blank":
+            cells = [""]
+        elif kind == "spaces":
+            cells = [draw(st.sampled_from([" ", "\t", "  \t "]))]
+        elif kind == "ragged":
+            cells = cells[: draw(st.integers(1, n_cols - 1))] if draw(st.booleans()) \
+                else cells + ["1"]
+        elif kind == "trailing_comma":
+            cells = cells + [""]
+        elif kind == "bad_cell":
+            cells[draw(st.integers(0, n_cols - 1))] = draw(_BAD_CELLS)
+        elif kind == "comment":
+            cells[0] = "#" + cells[0]
+        elif kind == "repeat_t":
+            cells[0] = repr(0.25 * max(k - 1, 0))
+        elif kind == "back_t":
+            cells[0] = repr(0.25 * k - 0.125)
+        lines.append(",".join(cells))
+    ends = [draw(st.sampled_from(["\n"] if mode == "clean" else _LINE_ENDS))
+            for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(parse, text):
+    try:
+        table = parse(text)
+    except TableParseError as exc:
+        return ("error", str(exc))
+    return ("table", table)
+
+
+class TestReaderMatchesLineScan:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(csv_texts())
+    def test_same_table_or_same_error(self, text):
+        got = _outcome(table_from_text, text)
+        want = _outcome(reference_table_from_text, text)
+        assert got[0] == want[0], (got, want)
+        if got[0] == "error":
+            assert got[1] == want[1]
+        else:
+            assert got[1].column_names == want[1].column_names
+            assert np.array_equal(got[1].t, want[1].t)
+            for name in want[1].signals:
+                assert np.array_equal(got[1].signals[name], want[1].signals[name])
+
+    @pytest.mark.parametrize("text", [
+        "t,r\r0,1\n0.25,2\n0.5,3\n",
+        *(f"t,r,s\n0,1{brk},2\n0.25,1,2\n"
+          for brk in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")),
+        "t,r\n0,1,2\n0.25,2,3\n",
+        "t,r,s\n0,1\n0.25,2\n",
+        "t,r\n0,1\n0.25,\ud800\n",
+    ])
+    def test_texts_numpy_reads_differently(self, text):
+        got = _outcome(table_from_text, text)
+        want = _outcome(reference_table_from_text, text)
+        if want[0] == "error":
+            assert got == want
+        else:
+            assert got[0] == "table"
+            assert np.array_equal(got[1].t, want[1].t)
+            assert np.array_equal(got[1].signals["r"], want[1].signals["r"])
+
+    def test_underscore_cells_accepted_as_python_float_reads_them(self):
+        table = table_from_text("t,r\n0,1_0\n1,2\n")
+        assert table.signals["r"].tolist() == [10.0, 2.0]
+
+    def test_blank_lines_and_crlf_accepted(self):
+        table = table_from_text("t,r\r\n0,1\r\n\r\n  \n1, 2 \n")
+        assert table.t.tolist() == [0.0, 1.0]
+        assert table.signals["r"].tolist() == [1.0, 2.0]
+
+
+_SPECIAL_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    float(2 ** 53 + 1), float(2 ** 53), 1e16, 1e17, 0.1, 1 / 3, -2.5,
+    1e-5, 1e-4, 9.9999999999999995e-5, 1e15, 123456789012345678.0, 1e21, 1e22,
+]
+
+
+def _wide_values(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, size=n)
+    values[: len(_SPECIAL_VALUES)] = _SPECIAL_VALUES[:n]
+    return values
+
+
+def reference_table_text(table: TrajectoryTable) -> str:
+    lines = [",".join(table.column_names)]
+    columns = [table.t, *table.signals.values()]
+    for row in zip(*columns):
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriterMatchesPerCellFormat:
+    def test_format_number_matches_format_spec(self):
+        for x in [*_SPECIAL_VALUES, *_wide_values(2000, 11)]:
+            assert format_number(x) == format(float(x), ".17g")
+
+    @pytest.mark.parametrize("n_rows", [2, 4095, 4096, 4097, 8193])
+    def test_table_text_byte_identical(self, tmp_path, n_rows):
+        table = TrajectoryTable(
+            t=0.01 * np.arange(n_rows) - 3.0,
+            signals={"E": _wide_values(n_rows, n_rows),
+                     "r": np.resize(np.array(_SPECIAL_VALUES), n_rows)},
+        )
+        text = table_to_text(table)
+        assert text == reference_table_text(table)
+        path = tmp_path / "table.csv"
+        write_trajectory(table, path)
+        assert path.read_bytes() == text.encode()
 
 
 def sample_document(**overrides):
