@@ -11,7 +11,6 @@ from .dynamics import (
     DynamicalSystem,
     IntegrationResult,
     IntegratorConfig,
-    evaluate_disturbance,
     integrate,
     linear_decay_system,
 )
@@ -48,10 +47,8 @@ from .scenario import (
     build_case,
     compare_cases,
     default_config,
-    load_power,
     risk_of_energy,
     run_case,
-    solar_input,
 )
 from .trajectory import (
     SteadyStateEstimate,
@@ -99,15 +96,12 @@ __all__ = [
     "default_config",
     "estimate_damping",
     "estimate_steady_state",
-    "evaluate_disturbance",
     "integrate",
     "linear_decay_system",
-    "load_power",
     "peak_deviation",
     "recovery_time",
     "risk_of_energy",
     "run_case",
     "sample_function",
     "shift_baseline",
-    "solar_input",
 ]

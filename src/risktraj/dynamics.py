@@ -1,12 +1,13 @@
 """Fixed-step RK4 integration of disturbance-driven dynamics.
 
 The state is one Python float, stepped without numpy so a step costs a
-few microseconds of interpreter time; samples are written into
-preallocated arrays. A system is described by its right-hand side
-f(t, x, d) plus an optional observable; systems that carry a discrete
-companion mode (e.g. a load-shedding flag) declare a mode_update hook,
-which is applied once per full step so the RK4 substeps always see a
-frozen mode.
+few microseconds of interpreter time. Everything that depends on time
+only (the disturbance and the system's forcing) is sampled with numpy
+once per block of steps, so the step loop reads plain floats from lists.
+A system is described by its right-hand side f(t, x, u) plus an optional
+observable; systems that carry a discrete companion mode (e.g. a
+load-shedding flag) declare a mode_update hook, which is applied once
+per full step so the RK4 substeps always see a frozen mode.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ import numpy as np
 
 from .errors import ConfigurationError, IntegrationDivergedError, ParameterError
 from .trajectory import TimeGrid, Trajectory
+
+# Steps whose substep inputs are sampled at once: bounds the sampled
+# arrays and lists to a few hundred kB whatever the run length.
+_BLOCK_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -43,20 +48,24 @@ class DisturbanceSignal:
         if self.kind == "pulse" and self.duration < 0:
             raise ParameterError(f"pulse duration must be >= 0, got {self.duration}")
 
-
-def evaluate_disturbance(signal: DisturbanceSignal, t: float, neutral: float) -> float:
-    if signal.kind == "none":
-        return neutral
-    if signal.onset <= t < signal.onset + signal.duration:
-        return signal.magnitude
-    return neutral
+    def sample(self, times: np.ndarray, neutral: float) -> np.ndarray:
+        """d at each of the given times, as a float array."""
+        if self.kind == "none":
+            return np.full(times.shape, neutral, dtype=float)
+        window = (times >= self.onset) & (times < self.onset + self.duration)
+        return np.where(window, self.magnitude, neutral)
 
 
 @dataclass(frozen=True)
 class DynamicalSystem:
     """Right-hand side bundle handed to integrate(); the state is one float.
 
-    rhs(t, x, d) must be a pure function returning dx/dt as a float. When
+    rhs(t, x, u) must be a pure function returning dx/dt as a float; u is
+    the forcing value at that substep time. forcing(times, d), when set,
+    maps an array of substep times and the disturbance sampled there to
+    the array of u values; it must be vectorised and depend on time only.
+    Unset, u is the disturbance value d itself. integrate() calls it once
+    per block of steps, never inside the step loop. When
     mode_update is set, rhs receives the current mode as a fourth argument
     and mode_update(t, x, mode) is called once at the start of every step
     (never inside substeps) and once at the end time. project, when set,
@@ -72,6 +81,7 @@ class DynamicalSystem:
     mode_init: Any = None
     project: Callable[[float], float] | None = None
     disturbance_neutral: float = 0.0
+    forcing: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -120,12 +130,13 @@ def integrate(
     disturbance: DisturbanceSignal,
     config: IntegratorConfig,
 ) -> IntegrationResult:
-    """Classical RK4 with the disturbance sampled at the substep times.
+    """Classical RK4 with the input sampled at the substep times.
 
-    x0 is a float or a length-1 array. The disturbance is evaluated at
-    (t, t+dt/2, t+dt/2, t+dt) and held fixed within each substep; pulse
-    edges are not located sub-step, so keep dt small relative to the
-    pulse duration.
+    x0 is a float or a length-1 array. The disturbance d, mapped through
+    system.forcing when that is set, is evaluated at (t, t+dt/2, t+dt/2,
+    t+dt) and held fixed within each substep; pulse edges are not located
+    sub-step, so keep dt small relative to the pulse duration. The input
+    is sampled once per block of steps, at each substep time exactly once.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape not in ((), (1,)):
@@ -151,58 +162,65 @@ def integrate(
     sixth = dt / 6.0
 
     neutral = system.disturbance_neutral
-    if disturbance.kind == "none":
-        def dist(_t: float) -> float:
-            return neutral
-    else:
-        onset = disturbance.onset
-        offset = disturbance.onset + disturbance.duration
-        magnitude = disturbance.magnitude
+    forcing = system.forcing
 
-        def dist(t: float) -> float:
-            return magnitude if onset <= t < offset else neutral
+    def inputs(times: np.ndarray) -> list[float]:
+        d = disturbance.sample(times, neutral)
+        return (d if forcing is None else forcing(times, d)).tolist()
 
     mode_update = system.mode_update
     mode = system.mode_init
     if mode_update is None:
         plain = system.rhs
 
-        def rhs(t: float, x: float, d: float, _mode: Any) -> float:
-            return plain(t, x, d)
+        def rhs(t: float, x: float, u: float, _mode: Any) -> float:
+            return plain(t, x, u)
     else:
         rhs = system.rhs
     project = system.project
     if project is not None:
         x = project(x)
+    isfinite = math.isfinite
 
     states = np.empty(n_steps + 1)
     states[0] = x
-    modes = None if mode_update is None else np.empty(n_steps + 1, dtype=object)
+    modes = None if mode_update is None else []
 
-    t1 = grid.time_at(0)
-    for k in range(n_steps):
-        t = t1
-        tm = t + half
-        t1 = t_start + (k + 1) * dt  # grid.time_at(k + 1), inlined
-        if mode_update is not None:
-            mode = mode_update(t, x, mode)
-            modes[k] = mode
-        dm = dist(tm)
-        k1 = rhs(t, x, dist(t), mode)
-        k2 = rhs(tm, x + half * k1, dm, mode)
-        k3 = rhs(tm, x + half * k2, dm, mode)
-        k4 = rhs(t1, x + dt * k3, dist(t1), mode)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if project is not None:
-            x = project(x)
-        if not math.isfinite(x):
-            raise IntegrationDivergedError(
-                f"non-finite state at t={t1}", time=t1
-            )
-        states[k + 1] = x
+    # t_start + dt*k is grid.time_at(k) bit for bit, on arrays as on floats.
+    u1 = inputs(t_start + dt * np.arange(1))[0]
+    for lo in range(0, n_steps, _BLOCK_STEPS):
+        hi = min(lo + _BLOCK_STEPS, n_steps)
+        times = t_start + dt * np.arange(lo, hi + 1)
+        mids = times[:-1] + half
+        us = inputs(np.concatenate((mids, times[1:])))
+        u_mid, u_end = us[:hi - lo], us[hi - lo:]
+        ts = times.tolist()
+        out = []
+        push = out.append
+        # u1 enters holding the input at times[0] and leaves holding the
+        # input at times[-1], which opens the next block.
+        for t, tm, t1, u0, um, u1 in zip(
+            ts, mids.tolist(), ts[1:], [u1] + u_end, u_mid, u_end
+        ):
+            if mode_update is not None:
+                mode = mode_update(t, x, mode)
+                modes.append(mode)
+            k1 = rhs(t, x, u0, mode)
+            k2 = rhs(tm, x + half * k1, um, mode)
+            k3 = rhs(tm, x + half * k2, um, mode)
+            k4 = rhs(t1, x + dt * k3, u1, mode)
+            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            if project is not None:
+                x = project(x)
+            if not isfinite(x):
+                raise IntegrationDivergedError(
+                    f"non-finite state at t={t1}", time=t1
+                )
+            push(x)
+        states[lo + 1:hi + 1] = out
 
     if mode_update is not None:
-        modes[n_steps] = mode_update(grid.t_end, x, mode)
+        modes.append(mode_update(grid.t_end, x, mode))
 
     observable = None
     if system.output_map is not None:

@@ -11,8 +11,8 @@ shedding plus proportional feedback).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Mapping, Union
 
 import numpy as np
@@ -21,7 +21,6 @@ from .dynamics import (
     DisturbanceSignal,
     DynamicalSystem,
     IntegratorConfig,
-    evaluate_disturbance,
     integrate,
 )
 from .errors import ConfigurationError, ParameterError
@@ -210,30 +209,38 @@ class ScenarioConfig:
         return RiskMap(E_ref=self.energy.E_ref, E_min=self.energy.E_min)
 
 
-def _solar_law(profile: SolarProfile) -> Callable[[float], float]:
-    """Undisturbed input power t -> W, with the profile bound once."""
-    P_peak, period, shape = profile.P_peak, profile.period, profile.shape_exponent
-    if shape == 0.0:
-        return lambda _t: P_peak
-    two_pi = 2.0 * math.pi
-
-    def power(t: float) -> float:
-        s = math.sin(two_pi * t / period)
-        return P_peak * s ** shape if s > 0.0 else 0.0
-
-    return power
+def _daylight(profile: SolarProfile, times: np.ndarray) -> np.ndarray:
+    """max(0, sin(2*pi*t/period)) at each time."""
+    return np.maximum(np.sin(2.0 * np.pi * times / profile.period), 0.0)
 
 
-def solar_power(t: float, profile: SolarProfile) -> float:
-    """Undisturbed input power at time t."""
-    return _solar_law(profile)(t)
+def _clear_sky_power(profile: SolarProfile, times: np.ndarray) -> np.ndarray:
+    """Undisturbed input power at each time, raised with numpy's power.
+
+    This is the recorded P_in before the disturbance and the forecast's
+    integrand; see input_power for the input the integrator steps.
+    """
+    if profile.shape_exponent == 0.0:
+        return np.full(len(times), profile.P_peak)
+    return profile.P_peak * _daylight(profile, times) ** profile.shape_exponent
 
 
-def solar_input(
-    t: float, profile: SolarProfile, disturbance: DisturbanceSignal
-) -> float:
-    """Input power including the multiplicative disturbance factor."""
-    return solar_power(t, profile) * evaluate_disturbance(disturbance, t, 1.0)
+def input_power(
+    profile: SolarProfile, times: np.ndarray, d: np.ndarray
+) -> np.ndarray:
+    """Disturbed input P_in(t)*d(t) at each time, as the integrator steps it.
+
+    The power is taken per element with Python's float pow (libm), not
+    numpy's: numpy computes s**2.0 as s*s, which differs from pow in the
+    last bit on some samples.
+    """
+    if profile.shape_exponent == 0.0:
+        return profile.P_peak * d
+    s = _daylight(profile, times)
+    lit = s > 0.0
+    power = np.zeros(len(times))
+    power[lit] = list(map(pow, s[lit].tolist(), repeat(profile.shape_exponent)))
+    return profile.P_peak * power * d
 
 
 def risk_of_energy(E, risk_map: RiskMap):
@@ -256,11 +263,7 @@ class SolarEnergyTable:
         self.profile = profile
         n = self._SAMPLES_PER_PERIOD
         xs = np.linspace(0.0, profile.period, n + 1)
-        if profile.shape_exponent == 0.0:
-            p = np.full(n + 1, profile.P_peak)
-        else:
-            s = np.maximum(np.sin(2.0 * np.pi * xs / profile.period), 0.0)
-            p = profile.P_peak * s ** profile.shape_exponent
+        p = _clear_sky_power(profile, xs)
         dx = profile.period / n
         cum = np.concatenate(([0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * dx)))
         self._xs = xs
@@ -276,11 +279,14 @@ class SolarEnergyTable:
         return self.cumulative(t2) - self.cumulative(t1)
 
 
-def _shed_law(policy: LoadPolicy, inflow: Callable[[float], float] | None):
+def _shed_law(policy: LoadPolicy, config: ScenarioConfig):
     """Shedding-flag update (t, E, prev) -> bool for one policy.
 
-    inflow(t) is the undisturbed input energy over [t, t + horizon]; only
-    the anticipatory policy uses it, to forecast the energy level.
+    The anticipatory policy forecasts the energy level from the
+    undisturbed input energy over [t, t + horizon]. The flag is only
+    updated at grid times, so that inflow is computed once on the grid
+    with one vectorised table lookup; a grid time maps back to its sample
+    index by rounding.
     """
     if isinstance(policy, PassivePolicy):
         return lambda _t, _E, _prev: False
@@ -297,76 +303,60 @@ def _shed_law(policy: LoadPolicy, inflow: Callable[[float], float] | None):
         return update
     spent = policy.P0 * policy.horizon
     E_target = policy.E_target
-    return lambda t, E, _prev: E + inflow(t) - spent < E_target
+    t_start, dt = config.integrator.t_start, config.integrator.dt
+    times = TimeGrid(t_start, dt, config.integrator.n_steps() + 1).times()
+    table = SolarEnergyTable(config.solar)
+    inflow = table.between(times, times + policy.horizon).tolist()
+    return lambda t, E, _prev: (
+        E + inflow[round((t - t_start) / dt)] - spent < E_target
+    )
 
 
-def _load_law(policy: LoadPolicy) -> Callable[[float, bool], float]:
-    """Delivered load (E, shed) -> W for one policy, on floats."""
-    P0 = policy.P0
+def _load_floor(policy: LoadPolicy) -> float:
+    """Load while shedding; a passive policy never sheds."""
     if isinstance(policy, PassivePolicy):
-        return lambda _E, _shed: P0
-    floor = P0 * (1.0 - policy.shed_fraction)
-    if isinstance(policy, ReactivePolicy):
-        return lambda _E, shed: floor if shed else P0
+        return policy.P0
+    return policy.P0 * (1.0 - policy.shed_fraction)
+
+
+def _rhs_law(policy: LoadPolicy, E_max: float) -> Callable[..., float]:
+    """RK4 right-hand side (t, E, u, shed) -> dE/dt for one policy.
+
+    u is the sampled input P_in*d; the load law is inlined, so a substep
+    costs one call. Net inflow is zeroed at the saturated bounds.
+    """
+    P0, floor = policy.P0, _load_floor(policy)
+    if not isinstance(policy, AnticipatoryPolicy):
+        def rhs(_t: float, E: float, u: float, shed: bool) -> float:
+            net = u - (floor if shed else P0)
+            if (E >= E_max and net > 0.0) or (E <= 0.0 and net < 0.0):
+                return 0.0
+            return net
+
+        return rhs
     gain, E_target = policy.gain, policy.E_target
 
-    def load(E: float, shed: bool) -> float:
+    def rhs_anticipatory(_t: float, E: float, u: float, shed: bool) -> float:
         # min/max spelled as comparisons: same values, half the call cost
         short = E_target - E
-        raw = (floor if shed else P0) - gain * (short if short > 0.0 else 0.0)
-        raw = floor if floor > raw else raw
-        return P0 if P0 < raw else raw
+        load = (floor if shed else P0) - gain * (short if short > 0.0 else 0.0)
+        load = floor if floor > load else load
+        net = u - (P0 if P0 < load else load)
+        if (E >= E_max and net > 0.0) or (E <= 0.0 and net < 0.0):
+            return 0.0
+        return net
 
-    return load
+    return rhs_anticipatory
 
 
 def _load_series(policy: LoadPolicy, E: np.ndarray, shed: np.ndarray) -> np.ndarray:
-    """_load_law over recorded arrays; the same values, sample by sample."""
-    P0 = policy.P0
-    if isinstance(policy, PassivePolicy):
-        return np.full(len(E), P0)
-    floor = P0 * (1.0 - policy.shed_fraction)
+    """_rhs_law's load over recorded arrays; the same values, sample by sample."""
+    P0, floor = policy.P0, _load_floor(policy)
     base = np.where(shed, floor, P0)
-    if isinstance(policy, ReactivePolicy):
+    if not isinstance(policy, AnticipatoryPolicy):
         return base
     raw = base - policy.gain * np.maximum(0.0, policy.E_target - E)
     return np.clip(raw, floor, P0)
-
-
-def load_power(
-    t: float,
-    E: float,
-    prev_shedding: bool,
-    policy: LoadPolicy,
-    solar: SolarProfile,
-) -> tuple[float, bool]:
-    """Delivered load and updated shedding flag for one policy evaluation."""
-    inflow = None
-    if isinstance(policy, AnticipatoryPolicy):
-        table = SolarEnergyTable(solar)
-
-        def inflow(t: float) -> float:
-            return table.between(t, t + policy.horizon)
-
-    shed = _shed_law(policy, inflow)(t, E, prev_shedding)
-    return _load_law(policy)(E, shed), shed
-
-
-def _grid_inflow(
-    policy: AnticipatoryPolicy, solar: SolarProfile, integrator: IntegratorConfig
-) -> Callable[[float], float]:
-    """Forecast inflow at the integration grid times, computed once.
-
-    The shedding flag is only updated at grid times, so one vectorised
-    table lookup replaces two per step; a grid time maps back to its
-    sample index by rounding.
-    """
-    times = TimeGrid(
-        integrator.t_start, integrator.dt, integrator.n_steps() + 1
-    ).times()
-    inflow = SolarEnergyTable(solar).between(times, times + policy.horizon).tolist()
-    t_start, dt = integrator.t_start, integrator.dt
-    return lambda t: inflow[round((t - t_start) / dt)]
 
 
 def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
@@ -387,35 +377,27 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
             f"policy for case {case_id!r} is {type(policy).__name__}"
         )
 
-    solar = _solar_law(config.solar)
+    solar = config.solar
     E_max = config.energy.E_max
     rmap = config.risk_map()
-    load = _load_law(policy)
-    inflow = (
-        _grid_inflow(policy, config.solar, config.integrator)
-        if isinstance(policy, AnticipatoryPolicy)
-        else None
-    )
-
-    def rhs(t: float, E: float, d: float, shed: bool) -> float:
-        net = solar(t) * d - load(E, shed)
-        if (E >= E_max and net > 0.0) or (E <= 0.0 and net < 0.0):
-            net = 0.0
-        return net
 
     def project(E):
-        # Elementwise on arrays too; NaN passes through to the divergence check.
+        # E is a float or a length-1 array (clipped elementwise); NaN
+        # passes through to the divergence check.
+        if 0.0 <= E <= E_max:
+            return E
         if isinstance(E, np.ndarray):
             return np.clip(E, 0.0, E_max)
         return 0.0 if E < 0.0 else E_max if E > E_max else E
 
     return DynamicalSystem(
-        rhs=rhs,
+        rhs=_rhs_law(policy, E_max),
         output_map=lambda _t, E: risk_of_energy(E, rmap),
-        mode_update=_shed_law(policy, inflow),
+        mode_update=_shed_law(policy, config),
         mode_init=False,
         project=project,
         disturbance_neutral=1.0,
+        forcing=lambda times, d: input_power(solar, times, d),
     )
 
 
@@ -457,20 +439,12 @@ def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
     energy = result.states[0]
     risk = result.observable
 
-    solar = config.solar
-    if solar.shape_exponent == 0.0:
-        p_clear = np.full(grid.n_samples, solar.P_peak)
-    else:
-        s = np.maximum(np.sin(2.0 * np.pi * times / solar.period), 0.0)
-        p_clear = solar.P_peak * s ** solar.shape_exponent
     d = config.disturbance
-    if d.kind == "pulse":
-        factor = np.where(
-            (times >= d.onset) & (times < d.onset + d.duration), d.magnitude, 1.0
-        )
-    else:
-        factor = 1.0
-    p_in = Trajectory(grid, p_clear * factor)
+    p_in = Trajectory(
+        grid,
+        _clear_sky_power(config.solar, times)
+        * d.sample(times, system.disturbance_neutral),
+    )
 
     shed = np.array(result.modes, dtype=bool)
     p_load = Trajectory(

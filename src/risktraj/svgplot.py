@@ -58,11 +58,11 @@ class _Panel:
         self.x0 = _MARGIN_LEFT
         self.x1 = _WIDTH - _MARGIN_RIGHT
 
-    def x(self, t: float) -> float:
+    def x(self, t):
         frac = (t - self.t_lo) / (self.t_hi - self.t_lo)
         return self.x0 + frac * (self.x1 - self.x0)
 
-    def y(self, v: float) -> float:
+    def y(self, v):
         frac = (v - self.y_lo) / (self.y_hi - self.y_lo)
         return self.y_top + (1.0 - frac) * _PANEL_HEIGHT
 
@@ -72,9 +72,9 @@ def _polyline(panel: _Panel, t: np.ndarray, v: np.ndarray, color: str) -> str:
     idx = np.arange(0, len(t), stride)
     if idx[-1] != len(t) - 1:
         idx = np.append(idx, len(t) - 1)
-    pts = " ".join(
-        f"{panel.x(t[i]):.2f},{panel.y(v[i]):.2f}" for i in idx
-    )
+    # x and y take arrays with the same operation order as on scalars
+    xy = np.column_stack((panel.x(t[idx]), panel.y(v[idx]))).ravel()
+    pts = ("%.2f,%.2f " * len(idx) % tuple(xy.tolist()))[:-1]
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="1.6" '
         f'points="{pts}"/>'

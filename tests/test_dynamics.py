@@ -7,7 +7,6 @@ from risktraj.dynamics import (
     DisturbanceSignal,
     DynamicalSystem,
     IntegratorConfig,
-    evaluate_disturbance,
     integrate,
     linear_decay_system,
 )
@@ -27,18 +26,16 @@ def run(system, x0, config, disturbance=NO_DIST):
 class TestDisturbance:
     def test_none_returns_neutral(self):
         sig = DisturbanceSignal(kind="none")
-        assert evaluate_disturbance(sig, 123.0, 0.0) == 0.0
-        assert evaluate_disturbance(sig, -5.0, 1.0) == 1.0
+        assert sig.sample(np.array([123.0]), 0.0).tolist() == [0.0]
+        assert sig.sample(np.array([-5.0]), 1.0).tolist() == [1.0]
 
     def test_pulse_window(self):
         sig = DisturbanceSignal(kind="pulse", onset=5.0, duration=2.0, magnitude=0.2)
-        assert evaluate_disturbance(sig, 6.0, 1.0) == 0.2
-        assert evaluate_disturbance(sig, 5.0, 1.0) == 0.2
+        assert sig.sample(np.array([6.0, 5.0]), 1.0).tolist() == [0.2, 0.2]
 
     def test_half_open_boundary(self):
         sig = DisturbanceSignal(kind="pulse", onset=5.0, duration=2.0, magnitude=0.2)
-        assert evaluate_disturbance(sig, 7.0, 1.0) == 1.0
-        assert evaluate_disturbance(sig, 4.999, 1.0) == 1.0
+        assert sig.sample(np.array([7.0, 4.999]), 1.0).tolist() == [1.0, 1.0]
 
     def test_bad_kind(self):
         with pytest.raises(ParameterError):

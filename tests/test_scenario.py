@@ -15,12 +15,13 @@ from risktraj.scenario import (
     RiskMap,
     ScenarioConfig,
     SolarProfile,
+    _load_series,
+    build_case,
     compare_cases,
     default_config,
-    load_power,
+    input_power,
     risk_of_energy,
     run_case,
-    solar_input,
 )
 
 SOLAR_K1 = SolarProfile(P_peak=10.0, period=24.0, shape_exponent=1.0)
@@ -32,6 +33,22 @@ def with_policies(config, **replacements):
     for case_id, policy in replacements.items():
         policies[case_id] = policy
     return dataclasses.replace(config, policies=policies)
+
+
+def solar_input(t, profile, disturbance):
+    """Disturbed input power at one time, as the integrator samples it."""
+    times = np.array([t])
+    return input_power(profile, times, disturbance.sample(times, 1.0))[0]
+
+
+def load_power(t, E, prev_shedding, policy, solar):
+    """Delivered load and updated shedding flag of one policy at (t, E)."""
+    case_id = {PassivePolicy: "passive", ReactivePolicy: "reactive",
+               AnticipatoryPolicy: "anticipatory"}[type(policy)]
+    config = with_policies(
+        dataclasses.replace(default_config(), solar=solar), **{case_id: policy})
+    shed = build_case(case_id, config).mode_update(t, E, prev_shedding)
+    return float(_load_series(policy, np.array([E]), np.array([shed]))[0]), shed
 
 
 class TestRiskMap:
@@ -219,18 +236,19 @@ class TestRunCase:
             assert np.all(loads <= 2.75 + 1e-12)
 
     def test_recorded_load_and_shed_match_scalar_policy(self, default_comparison):
-        # run_case records P_load with array operations; load_power is the
-        # per-sample reference and must agree exactly, shed flag included.
+        # run_case records P_load with array operations; the stepped
+        # right-hand side is the per-sample law and must agree exactly, shed
+        # flag included. With zero input and E > 0, rhs returns -load.
         config = default_config()
         for case_id in CASE_IDS:
+            system = build_case(case_id, config)
             result = default_comparison.cases[case_id]
             t = result.energy.times()
             E, loads = result.energy.values, result.p_load.values
             for k in range(1, len(t), 211):
-                assert load_power(
-                    t[k], E[k], result.shed[k - 1],
-                    config.policies[case_id], config.solar,
-                ) == (loads[k], result.shed[k])
+                shed = system.mode_update(t[k], E[k], result.shed[k - 1])
+                assert shed == result.shed[k]
+                assert -system.rhs(t[k], E[k], 0.0, shed) == loads[k]
 
     def test_hysteresis_no_chattering(self, default_comparison):
         result = default_comparison.cases["reactive"]
