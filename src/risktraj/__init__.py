@@ -55,8 +55,6 @@ from .trajectory import (
     TimeGrid,
     Trajectory,
     estimate_steady_state,
-    sample_function,
-    shift_baseline,
 )
 
 __version__ = "0.1.0"
@@ -102,6 +100,4 @@ __all__ = [
     "recovery_time",
     "risk_of_energy",
     "run_case",
-    "sample_function",
-    "shift_baseline",
 ]

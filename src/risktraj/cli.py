@@ -22,33 +22,30 @@ from .io_formats import (
     TrajectoryTable,
     apply_overrides,
     config_digest,
-    config_to_parser,
     format_number,
     parser_to_config,
     read_config_parser,
     read_trajectory,
     report_to_text,
+    report_values,
     write_report,
     write_trajectory,
 )
-from .metrics import MetricsConfig, assemble_report
-from .scenario import CASE_IDS, CaseResult, compare_cases, default_config, run_case
+from .metrics import BASELINE_MODES, MetricsConfig, assemble_report
+from .scenario import CASE_IDS, DEFAULT_CONFIG_PATH, CaseResult, compare_cases, run_case
 from .svgplot import emit_plot
 
 _COMPARISON_SCHEMA = "risktraj.comparison.v1"
 
 
-def _load_parser(config_arg: str) -> configparser.ConfigParser:
-    if config_arg == "default":
-        return config_to_parser(default_config())
-    return read_config_parser(config_arg)
+def _load_parser(config_arg: str, overrides=()) -> configparser.ConfigParser:
+    """The named config file ('default': the shipped one) with overrides applied."""
+    path = DEFAULT_CONFIG_PATH if config_arg == "default" else config_arg
+    return apply_overrides(read_config_parser(path), overrides)
 
 
 def _resolve_config(args):
-    parser = _load_parser(args.config)
-    if getattr(args, "set", None):
-        apply_overrides(parser, args.set)
-    return parser_to_config(parser)
+    return parser_to_config(_load_parser(args.config, args.set or []))
 
 
 def _case_table(result: CaseResult) -> TrajectoryTable:
@@ -131,17 +128,9 @@ def _comparison_text(comparison, digest: str) -> str:
         + ("true" if comparison.impact_ordering_holds else "false"),
     ]
     for case_id in CASE_IDS:
-        rep = comparison.cases[case_id].report
-        lam = "absent" if rep.lambda_hat is None else format_number(rep.lambda_hat)
-        closed = (
-            "absent"
-            if rep.impact_closed_form is None
-            else format_number(rep.impact_closed_form)
-        )
-        lines.append(f"{case_id}.r0 = {format_number(rep.r0)}")
-        lines.append(f"{case_id}.lambda_hat_per_s = {lam}")
-        lines.append(f"{case_id}.impact_numeric = {format_number(rep.impact_numeric)}")
-        lines.append(f"{case_id}.impact_closed_form = {closed}")
+        values = report_values(comparison.cases[case_id].report)
+        for key in ("r0", "lambda_hat_per_s", "impact_numeric", "impact_closed_form"):
+            lines.append(f"{case_id}.{key} = {values[key]}")
     return "\n".join(lines) + "\n"
 
 
@@ -196,11 +185,9 @@ def _parse_range(spec: str) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
-    base_parser = _load_parser(args.config)
-    if args.set:
-        apply_overrides(base_parser, args.set)
+    overrides = args.set or []
     # probe the parameter path once so bad names fail before any run
-    apply_overrides(_copy_parser(base_parser), [f"{args.param}=0"])
+    _load_parser(args.config, [*overrides, f"{args.param}=0"])
     values = _parse_range(args.range)
 
     header_cells = ["value"]
@@ -212,8 +199,9 @@ def _cmd_sweep(args) -> int:
         ]
     rows = []
     for value in values:
-        parser = _copy_parser(base_parser)
-        apply_overrides(parser, [f"{args.param}={format_number(value)}"])
+        parser = _load_parser(
+            args.config, [*overrides, f"{args.param}={format_number(value)}"]
+        )
         comparison = compare_cases(parser_to_config(parser))
         cells = [format_number(value)]
         for case_id in CASE_IDS:
@@ -228,13 +216,6 @@ def _cmd_sweep(args) -> int:
     Path(args.out).write_text(text, newline="\n")
     print(f"wrote {args.out}")
     return 0
-
-
-def _copy_parser(parser: configparser.ConfigParser) -> configparser.ConfigParser:
-    clone = configparser.ConfigParser(interpolation=None)
-    clone.optionxform = str
-    clone.read_dict({s: dict(parser[s]) for s in parser.sections()})
-    return clone
 
 
 def _cmd_emit_plot(args) -> int:
@@ -271,14 +252,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--t0", type=float, default=None,
                       help="disturbance onset (default: trajectory start)")
     p_an.add_argument("--out", default=None, help="report path (default: stdout)")
-    p_an.add_argument("--baseline", choices=("zero", "steady_state"),
-                      default="zero")
-    p_an.add_argument("--tail-fraction", type=float, default=0.25)
-    p_an.add_argument("--fit-floor", type=float, default=0.05)
-    p_an.add_argument("--min-fit-samples", type=int, default=10)
+    metrics = MetricsConfig()  # the flags default to its field defaults
+    p_an.add_argument("--baseline", choices=BASELINE_MODES,
+                      default=metrics.baseline_mode)
+    p_an.add_argument("--tail-fraction", type=float, default=metrics.tail_fraction)
+    p_an.add_argument("--fit-floor", type=float, default=metrics.fit_floor_ratio)
+    p_an.add_argument("--min-fit-samples", type=int, default=metrics.min_fit_samples)
     p_an.add_argument("--no-tail-correction", action="store_true")
-    p_an.add_argument("--horizon", type=float, default=None)
-    p_an.add_argument("--recovery-band-ratio", type=float, default=0.05)
+    p_an.add_argument("--horizon", type=float, default=metrics.horizon)
+    p_an.add_argument("--recovery-band-ratio", type=float,
+                      default=metrics.recovery_band_ratio)
     p_an.set_defaults(func=_cmd_analyze)
 
     p_cmp = sub.add_parser("compare", help="run all three cases and compare")

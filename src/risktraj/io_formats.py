@@ -18,9 +18,9 @@ import hashlib
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .scenario import (
 from .trajectory import TimeGrid, Trajectory
 
 ARTIFACT_VERSION = "0.1.0"
-REPORT_SCHEMA = "risktraj.report.v1"
 
 
 NUMBER_FORMAT = "%.17g"  # format_number and the trajectory writer both use it
@@ -233,76 +232,110 @@ def read_trajectory(source) -> TrajectoryTable:
 
 
 # ---------------------------------------------------------------------------
+# value kinds shared by the report and config tables
+
+_NUMBER = "number"  # finite in a config, any float in a report
+_WHOLE = "whole"
+_FLAG = "flag"  # true or false
+_WORD = "word"
+# The kind "number|<word>" is a number that may be absent (None), written <word>.
+
+_FLAG_WORDS = {"true": True, "false": False}
+
+
+def _format_value(value, kind: str, number: Callable[[float], str]) -> str:
+    """Text of one table value; `number` writes the numbers."""
+    if value is None:
+        return kind.partition("|")[2]
+    if kind == _FLAG:
+        return "true" if value else "false"
+    if kind in (_WORD, _WHOLE):
+        return str(value)
+    return number(value)
+
+
+def _parse_value(raw: str, kind: str, where: str, finite: bool):
+    """Value of one table entry; `where` names the entry in error messages."""
+    kind, _, marker = kind.partition("|")
+    if kind == _WORD:
+        return raw
+    if marker and raw == marker:
+        return None
+    if kind == _FLAG:
+        if raw not in _FLAG_WORDS:
+            raise TableParseError(f"bad boolean for {where}: {raw!r}")
+        return _FLAG_WORDS[raw]
+    try:
+        value = float(raw)
+    except ValueError:
+        raise TableParseError(f"bad number for {where}: {raw!r}") from None
+    if finite and not math.isfinite(value):
+        raise TableParseError(f"bad number for {where}: {raw!r}")
+    if kind == _WHOLE:
+        if not value.is_integer():
+            raise TableParseError(
+                f"bad number for {where}: {value!r} is not a whole number"
+            )
+        return int(value)
+    return value
+
+
+# ---------------------------------------------------------------------------
 # report documents
 
+REPORT_SCHEMA = "risktraj.report.v1"
 _ABSENT = "absent"
-_NOT_RECOVERED = "not_recovered"
+
+# (key, attribute, kind) in file order, below the schema line.
+_REPORT_KEYS = (
+    ("artifact_version", "artifact_version", _WORD),
+    ("case", "case_id", _WORD),
+    ("config_digest", "config_digest", _WORD),
+    ("t0_s", "t0", _NUMBER),
+    ("r0", "r0", _NUMBER),
+    ("t_peak_s", "t_peak", _NUMBER),
+    ("lambda_hat_per_s", "lambda_hat", f"{_NUMBER}|{_ABSENT}"),
+    ("fit_quality", "fit_quality", f"{_NUMBER}|{_ABSENT}"),
+    ("impact_numeric", "impact_numeric", _NUMBER),
+    ("impact_closed_form", "impact_closed_form", f"{_NUMBER}|{_ABSENT}"),
+    ("steady_state", "steady_state", _NUMBER),
+    ("recovery_time_s", "recovery_time", f"{_NUMBER}|not_recovered"),
+    ("recovered", "recovered", _FLAG),
+    ("tail_corrected", "tail_corrected", _FLAG),
+)
 
 
-@dataclass(frozen=True)
-class ReportDocument:
-    """Serializable mirror of a ResilienceReport plus provenance."""
+@dataclass(frozen=True, kw_only=True)
+class ReportDocument(ResilienceReport):
+    """A ResilienceReport plus its provenance."""
 
     case_id: str
     config_digest: str
-    t0: float
-    r0: float
-    t_peak: float
-    lambda_hat: float | None
-    fit_quality: float | None
-    impact_numeric: float
-    impact_closed_form: float | None
-    steady_state: float
-    recovery_time: float | None
-    recovered: bool
-    tail_corrected: bool
-    absent: Mapping[str, str] = field(default_factory=dict)
     artifact_version: str = ARTIFACT_VERSION
 
     @classmethod
     def from_report(
         cls, report: ResilienceReport, case_id: str, config_digest: str
     ) -> "ReportDocument":
-        return cls(
-            case_id=case_id,
-            config_digest=config_digest,
-            t0=report.t0,
-            r0=report.r0,
-            t_peak=report.t_peak,
-            lambda_hat=report.lambda_hat,
-            fit_quality=report.fit_quality,
-            impact_numeric=report.impact_numeric,
-            impact_closed_form=report.impact_closed_form,
-            steady_state=report.steady_state,
-            recovery_time=report.recovery_time,
-            recovered=report.recovered,
-            tail_corrected=report.tail_corrected,
-            absent=dict(report.absent),
-        )
+        values = {f.name: getattr(report, f.name) for f in fields(ResilienceReport)}
+        return cls(**values, case_id=case_id, config_digest=config_digest)
 
 
-def _opt_number(x: float | None, none_marker: str) -> str:
-    return none_marker if x is None else format_number(x)
+def report_values(report: ResilienceReport) -> dict[str, str]:
+    """Report key -> value text, for the keys `report` carries.
+
+    A bare ResilienceReport has no provenance keys.
+    """
+    return {
+        key: _format_value(getattr(report, attr), kind, format_number)
+        for key, attr, kind in _REPORT_KEYS
+        if hasattr(report, attr)
+    }
 
 
 def report_to_text(doc: ReportDocument) -> str:
-    lines = [
-        f"schema = {REPORT_SCHEMA}",
-        f"artifact_version = {doc.artifact_version}",
-        f"case = {doc.case_id}",
-        f"config_digest = {doc.config_digest}",
-        f"t0_s = {format_number(doc.t0)}",
-        f"r0 = {format_number(doc.r0)}",
-        f"t_peak_s = {format_number(doc.t_peak)}",
-        f"lambda_hat_per_s = {_opt_number(doc.lambda_hat, _ABSENT)}",
-        f"fit_quality = {_opt_number(doc.fit_quality, _ABSENT)}",
-        f"impact_numeric = {format_number(doc.impact_numeric)}",
-        f"impact_closed_form = {_opt_number(doc.impact_closed_form, _ABSENT)}",
-        f"steady_state = {format_number(doc.steady_state)}",
-        f"recovery_time_s = {_opt_number(doc.recovery_time, _NOT_RECOVERED)}",
-        f"recovered = {'true' if doc.recovered else 'false'}",
-        f"tail_corrected = {'true' if doc.tail_corrected else 'false'}",
-    ]
+    lines = [f"schema = {REPORT_SCHEMA}"]
+    lines += [f"{key} = {text}" for key, text in report_values(doc).items()]
     for name in sorted(doc.absent):
         reason = " ".join(str(doc.absent[name]).split())
         lines.append(f"absent.{name} = {reason}")
@@ -332,45 +365,10 @@ def report_from_text(text: str) -> ReportDocument:
 
     if need("schema") != REPORT_SCHEMA:
         raise TableParseError(f"unsupported schema {entries['schema']!r}")
-
-    def num(key: str) -> float:
-        raw = need(key)
-        try:
-            return float(raw)
-        except ValueError:
-            raise TableParseError(f"bad number for {key!r}: {raw!r}") from None
-
-    def opt_num(key: str, none_marker: str) -> float | None:
-        raw = need(key)
-        if raw == none_marker:
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise TableParseError(f"bad number for {key!r}: {raw!r}") from None
-
-    def flag(key: str) -> bool:
-        raw = need(key)
-        if raw not in ("true", "false"):
-            raise TableParseError(f"bad boolean for {key!r}: {raw!r}")
-        return raw == "true"
-
     return ReportDocument(
-        case_id=need("case"),
-        config_digest=need("config_digest"),
-        t0=num("t0_s"),
-        r0=num("r0"),
-        t_peak=num("t_peak_s"),
-        lambda_hat=opt_num("lambda_hat_per_s", _ABSENT),
-        fit_quality=opt_num("fit_quality", _ABSENT),
-        impact_numeric=num("impact_numeric"),
-        impact_closed_form=opt_num("impact_closed_form", _ABSENT),
-        steady_state=num("steady_state"),
-        recovery_time=opt_num("recovery_time_s", _NOT_RECOVERED),
-        recovered=flag("recovered"),
-        tail_corrected=flag("tail_corrected"),
+        **{attr: _parse_value(need(key), kind, repr(key), finite=False)
+           for key, attr, kind in _REPORT_KEYS},
         absent=absent,
-        artifact_version=need("artifact_version"),
     )
 
 
@@ -385,183 +383,120 @@ def read_report(source) -> ReportDocument:
 # ---------------------------------------------------------------------------
 # scenario configuration files
 
-_BOOL_WORDS = {"true": True, "false": False}
+_POLICY = "policy."  # a [policy.<case>] section builds config.policies[<case>]
+
+# section -> (dataclass it builds, its (key, attribute, kind) in file order)
+_CONFIG_SECTIONS = {
+    "energy": (EnergyParams, (
+        ("E_max_J", "E_max", _NUMBER),
+        ("E_min_J", "E_min", _NUMBER),
+        ("E_init_J", "E_init", _NUMBER),
+        ("E_ref_J", "E_ref", _NUMBER),
+    )),
+    "solar": (SolarProfile, (
+        ("P_peak_W", "P_peak", _NUMBER),
+        ("period_s", "period", _NUMBER),
+        ("shape_exponent", "shape_exponent", _NUMBER),
+    )),
+    "disturbance": (DisturbanceSignal, (
+        ("kind", "kind", _WORD),
+        ("onset_s", "onset", _NUMBER),
+        ("duration_s", "duration", _NUMBER),
+        ("magnitude", "magnitude", _NUMBER),
+    )),
+    "policy.passive": (PassivePolicy, (
+        ("P0_W", "P0", _NUMBER),
+    )),
+    "policy.reactive": (ReactivePolicy, (
+        ("P0_W", "P0", _NUMBER),
+        ("E_on_J", "E_on", _NUMBER),
+        ("E_off_J", "E_off", _NUMBER),
+        ("shed_fraction", "shed_fraction", _NUMBER),
+    )),
+    "policy.anticipatory": (AnticipatoryPolicy, (
+        ("P0_W", "P0", _NUMBER),
+        ("horizon_s", "horizon", _NUMBER),
+        ("E_target_J", "E_target", _NUMBER),
+        ("shed_fraction", "shed_fraction", _NUMBER),
+        ("gain_W_per_J", "gain", _NUMBER),
+    )),
+    "integrator": (IntegratorConfig, (
+        ("dt_s", "dt", _NUMBER),
+        ("t_start_s", "t_start", _NUMBER),
+        ("t_end_s", "t_end", _NUMBER),
+    )),
+    "metrics": (MetricsConfig, (
+        ("baseline_mode", "baseline_mode", _WORD),
+        ("tail_fraction", "tail_fraction", _NUMBER),
+        ("fit_floor_ratio", "fit_floor_ratio", _NUMBER),
+        ("min_fit_samples", "min_fit_samples", _WHOLE),
+        ("tail_correction", "tail_correction", _FLAG),
+        ("horizon_s", "horizon", f"{_NUMBER}|end"),
+        ("recovery_band_ratio", "recovery_band_ratio", _NUMBER),
+    )),
+}
+
+# The keys a file may leave out, and the text they then read as.
+_CONFIG_OPTIONAL = {
+    ("disturbance", "kind"): "none",
+    ("metrics", "baseline_mode"): "zero",
+    ("metrics", "horizon_s"): "end",
+}
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, float)):
-        return repr(float(v))  # shortest lossless form; configs stay readable
-    return str(v)
-
-
-def config_to_parser(config: ScenarioConfig) -> configparser.ConfigParser:
+def _config_parser() -> configparser.ConfigParser:
+    """An empty ConfigParser: no interpolation, keys kept as written."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    e, s, d, i, m = (
-        config.energy,
-        config.solar,
-        config.disturbance,
-        config.integrator,
-        config.metrics,
-    )
-    parser["energy"] = {
-        "E_max_J": _fmt_value(e.E_max),
-        "E_min_J": _fmt_value(e.E_min),
-        "E_init_J": _fmt_value(e.E_init),
-        "E_ref_J": _fmt_value(e.E_ref),
-    }
-    parser["solar"] = {
-        "P_peak_W": _fmt_value(s.P_peak),
-        "period_s": _fmt_value(s.period),
-        "shape_exponent": _fmt_value(s.shape_exponent),
-    }
-    parser["disturbance"] = {
-        "kind": d.kind,
-        "onset_s": _fmt_value(d.onset),
-        "duration_s": _fmt_value(d.duration),
-        "magnitude": _fmt_value(d.magnitude),
-    }
-    pp = config.policies.get("passive")
-    pr = config.policies.get("reactive")
-    pa = config.policies.get("anticipatory")
-    if pp is not None:
-        parser["policy.passive"] = {"P0_W": _fmt_value(pp.P0)}
-    if pr is not None:
-        parser["policy.reactive"] = {
-            "P0_W": _fmt_value(pr.P0),
-            "E_on_J": _fmt_value(pr.E_on),
-            "E_off_J": _fmt_value(pr.E_off),
-            "shed_fraction": _fmt_value(pr.shed_fraction),
-        }
-    if pa is not None:
-        parser["policy.anticipatory"] = {
-            "P0_W": _fmt_value(pa.P0),
-            "horizon_s": _fmt_value(pa.horizon),
-            "E_target_J": _fmt_value(pa.E_target),
-            "shed_fraction": _fmt_value(pa.shed_fraction),
-            "gain_W_per_J": _fmt_value(pa.gain),
-        }
-    parser["integrator"] = {
-        "dt_s": _fmt_value(i.dt),
-        "t_start_s": _fmt_value(i.t_start),
-        "t_end_s": _fmt_value(i.t_end),
-    }
-    parser["metrics"] = {
-        "baseline_mode": m.baseline_mode,
-        "tail_fraction": _fmt_value(m.tail_fraction),
-        "fit_floor_ratio": _fmt_value(m.fit_floor_ratio),
-        "min_fit_samples": str(m.min_fit_samples),
-        "tail_correction": _fmt_value(m.tail_correction),
-        "horizon_s": "end" if m.horizon is None else _fmt_value(m.horizon),
-        "recovery_band_ratio": _fmt_value(m.recovery_band_ratio),
-    }
     return parser
 
 
-def _get_num(parser, section: str, key: str) -> float:
-    try:
-        raw = parser[section][key]
-    except KeyError:
-        raise TableParseError(f"missing config key [{section}] {key}") from None
-    try:
-        value = float(raw)
-        if math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    raise TableParseError(f"bad number for [{section}] {key}: {raw!r}")
+def _config_part(config: ScenarioConfig, section: str):
+    """What `section` describes in `config`; None for a policy it lacks."""
+    if section.startswith(_POLICY):
+        return config.policies.get(section[len(_POLICY):])
+    return getattr(config, section)
 
 
-def _get_whole(parser, section: str, key: str) -> int:
-    value = _get_num(parser, section, key)
-    if not value.is_integer():
-        raise TableParseError(
-            f"bad number for [{section}] {key}: {value!r} is not a whole number"
-        )
-    return int(value)
+def _shortest_number(x: float) -> str:
+    return repr(float(x))  # shortest lossless form; configs stay readable
 
 
-def _get_bool(parser, section: str, key: str) -> bool:
-    try:
-        raw = parser[section][key]
-    except KeyError:
-        raise TableParseError(f"missing config key [{section}] {key}") from None
-    if raw not in _BOOL_WORDS:
-        raise TableParseError(f"bad boolean for [{section}] {key}: {raw!r}")
-    return _BOOL_WORDS[raw]
+def config_to_parser(config: ScenarioConfig) -> configparser.ConfigParser:
+    parser = _config_parser()
+    for section, (_, keys) in _CONFIG_SECTIONS.items():
+        part = _config_part(config, section)
+        if part is not None:
+            parser[section] = {
+                key: _format_value(getattr(part, attr), kind, _shortest_number)
+                for key, attr, kind in keys
+            }
+    return parser
+
+
+def _config_value(parser, section: str, key: str, kind: str):
+    raw = parser[section].get(key, _CONFIG_OPTIONAL.get((section, key)))
+    if raw is None:
+        raise TableParseError(f"missing config key [{section}] {key}")
+    return _parse_value(raw, kind, f"[{section}] {key}", finite=True)
 
 
 def parser_to_config(parser: configparser.ConfigParser) -> ScenarioConfig:
-    for section in ("energy", "solar", "disturbance", "integrator", "metrics"):
-        if section not in parser:
+    for section in _CONFIG_SECTIONS:
+        if section not in parser and not section.startswith(_POLICY):
             raise TableParseError(f"missing config section [{section}]")
-    energy = EnergyParams(
-        E_max=_get_num(parser, "energy", "E_max_J"),
-        E_min=_get_num(parser, "energy", "E_min_J"),
-        E_init=_get_num(parser, "energy", "E_init_J"),
-        E_ref=_get_num(parser, "energy", "E_ref_J"),
-    )
-    solar = SolarProfile(
-        P_peak=_get_num(parser, "solar", "P_peak_W"),
-        period=_get_num(parser, "solar", "period_s"),
-        shape_exponent=_get_num(parser, "solar", "shape_exponent"),
-    )
-    kind = parser["disturbance"].get("kind", "none")
-    disturbance = DisturbanceSignal(
-        kind=kind,
-        onset=_get_num(parser, "disturbance", "onset_s"),
-        duration=_get_num(parser, "disturbance", "duration_s"),
-        magnitude=_get_num(parser, "disturbance", "magnitude"),
-    )
-    policies = {}
-    if "policy.passive" in parser:
-        policies["passive"] = PassivePolicy(
-            P0=_get_num(parser, "policy.passive", "P0_W")
-        )
-    if "policy.reactive" in parser:
-        policies["reactive"] = ReactivePolicy(
-            P0=_get_num(parser, "policy.reactive", "P0_W"),
-            E_on=_get_num(parser, "policy.reactive", "E_on_J"),
-            E_off=_get_num(parser, "policy.reactive", "E_off_J"),
-            shed_fraction=_get_num(parser, "policy.reactive", "shed_fraction"),
-        )
-    if "policy.anticipatory" in parser:
-        policies["anticipatory"] = AnticipatoryPolicy(
-            P0=_get_num(parser, "policy.anticipatory", "P0_W"),
-            horizon=_get_num(parser, "policy.anticipatory", "horizon_s"),
-            E_target=_get_num(parser, "policy.anticipatory", "E_target_J"),
-            shed_fraction=_get_num(parser, "policy.anticipatory", "shed_fraction"),
-            gain=_get_num(parser, "policy.anticipatory", "gain_W_per_J"),
-        )
+    parts, policies = {}, {}
+    for section, (build, keys) in _CONFIG_SECTIONS.items():
+        if section in parser:
+            part = build(**{attr: _config_value(parser, section, key, kind)
+                            for key, attr, kind in keys})
+            if section.startswith(_POLICY):
+                policies[section[len(_POLICY):]] = part
+            else:
+                parts[section] = part
     if not policies:
         raise TableParseError("config defines no [policy.*] section")
-    integrator = IntegratorConfig(
-        dt=_get_num(parser, "integrator", "dt_s"),
-        t_start=_get_num(parser, "integrator", "t_start_s"),
-        t_end=_get_num(parser, "integrator", "t_end_s"),
-    )
-    horizon = None
-    if parser["metrics"].get("horizon_s", "end") != "end":
-        horizon = _get_num(parser, "metrics", "horizon_s")
-    metrics = MetricsConfig(
-        baseline_mode=parser["metrics"].get("baseline_mode", "zero"),
-        tail_fraction=_get_num(parser, "metrics", "tail_fraction"),
-        fit_floor_ratio=_get_num(parser, "metrics", "fit_floor_ratio"),
-        min_fit_samples=_get_whole(parser, "metrics", "min_fit_samples"),
-        tail_correction=_get_bool(parser, "metrics", "tail_correction"),
-        horizon=horizon,
-        recovery_band_ratio=_get_num(parser, "metrics", "recovery_band_ratio"),
-    )
-    return ScenarioConfig(
-        energy=energy,
-        solar=solar,
-        policies=policies,
-        disturbance=disturbance,
-        integrator=integrator,
-        metrics=metrics,
-    )
+    return ScenarioConfig(policies=policies, **parts)
 
 
 def config_to_text(config: ScenarioConfig) -> str:
@@ -576,8 +511,7 @@ def write_scenario_config(config: ScenarioConfig, destination) -> None:
 
 def read_config_parser(source) -> configparser.ConfigParser:
     """Parse an INI config file; malformed or undecodable text is a TableParseError."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
+    parser = _config_parser()
     try:
         with open(source) as fh:
             parser.read_file(fh)

@@ -61,10 +61,13 @@ class MetricsConfig:
             raise ParameterError(
                 f"tail_fraction must be in (0, 1], got {self.tail_fraction}"
             )
-        if self.recovery_band_ratio <= 0.0:
+        if not 0.0 < self.recovery_band_ratio < math.inf:
             raise ParameterError(
-                f"recovery_band_ratio must be > 0, got {self.recovery_band_ratio}"
+                f"recovery_band_ratio must be finite and > 0, "
+                f"got {self.recovery_band_ratio}"
             )
+        if self.horizon is not None and not math.isfinite(self.horizon):
+            raise ParameterError(f"horizon must be finite, got {self.horizon}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from pathlib import Path
 from typing import Callable, Mapping, Union
 
 import numpy as np
@@ -28,6 +29,7 @@ from .metrics import MetricsConfig, ResilienceReport, assemble_report
 from .trajectory import TimeGrid, Trajectory
 
 CASE_IDS = ("passive", "reactive", "anticipatory")
+DEFAULT_CONFIG_PATH = Path(__file__).parent / "data" / "default_scenario.ini"
 
 
 @dataclass(frozen=True)
@@ -482,37 +484,13 @@ def compare_cases(config: ScenarioConfig) -> ComparisonResult:
 
 
 def default_config() -> ScenarioConfig:
-    """Shipped default parameterization.
+    """Shipped default parameterization, read from DEFAULT_CONFIG_PATH.
 
     Tuned so that, under the default cloud event, the three cases exhibit
     the expected peak and impact orderings, no run saturates the storage,
     and every case recovers to the calm operating cycle well before the
-    steady-state tail window. Mirrored in data/default_scenario.ini.
+    steady-state tail window.
     """
-    P0 = 2.75
-    return ScenarioConfig(
-        energy=EnergyParams(E_max=100.0, E_min=15.0, E_init=50.0, E_ref=45.0),
-        solar=SolarProfile(P_peak=12.0, period=6.0, shape_exponent=2.0),
-        policies={
-            "passive": PassivePolicy(P0=P0),
-            "reactive": ReactivePolicy(
-                P0=P0, E_on=35.0, E_off=48.0, shed_fraction=0.5
-            ),
-            "anticipatory": AnticipatoryPolicy(
-                P0=P0, horizon=6.0, E_target=48.0, shed_fraction=0.5, gain=1.0
-            ),
-        },
-        disturbance=DisturbanceSignal(
-            kind="pulse", onset=27.0, duration=12.0, magnitude=0.15
-        ),
-        integrator=IntegratorConfig(dt=0.005, t_start=0.0, t_end=144.0),
-        metrics=MetricsConfig(
-            baseline_mode="steady_state",
-            tail_fraction=0.2,
-            fit_floor_ratio=0.05,
-            min_fit_samples=10,
-            tail_correction=True,
-            horizon=None,
-            recovery_band_ratio=0.05,
-        ),
-    )
+    from .io_formats import read_scenario_config  # io_formats imports this module
+
+    return read_scenario_config(DEFAULT_CONFIG_PATH)

@@ -1,4 +1,4 @@
-"""Uniformly sampled scalar time series and baseline utilities.
+"""Uniformly sampled scalar time series and their steady-state level.
 
 Everything downstream (integration records, metric extraction, file I/O)
 works on these values. Trajectories are immutable after construction so
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -103,18 +102,6 @@ class SteadyStateEstimate:
             raise ParameterError("steady-state window must have positive width")
 
 
-def sample_function(f: Callable[[float], float], grid: TimeGrid) -> Trajectory:
-    """Evaluate a scalar function of time on every grid sample."""
-    times = grid.times()
-    values = np.empty(grid.n_samples)
-    for k, t in enumerate(times):
-        v = float(f(t))
-        if not math.isfinite(v):
-            raise ParameterError(f"function returned non-finite value at t={t}")
-        values[k] = v
-    return Trajectory(grid, values)
-
-
 def estimate_steady_state(traj: Trajectory, tail_fraction: float) -> SteadyStateEstimate:
     """Mean of the last ceil(tail_fraction * n) samples.
 
@@ -140,8 +127,3 @@ def estimate_steady_state(traj: Trajectory, tail_fraction: float) -> SteadyState
         window_start=traj.grid.time_at(n - n_tail),
         window_end=traj.grid.t_end,
     )
-
-
-def shift_baseline(traj: Trajectory, level: float) -> Trajectory:
-    """Subtract a constant level from every sample; the grid is unchanged."""
-    return Trajectory(traj.grid, traj.values - level)

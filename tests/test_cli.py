@@ -167,6 +167,20 @@ class TestAnalyze:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: time nan is not finite")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--horizon", "nan"], "horizon must be finite"),
+        (["--horizon", "inf"], "horizon must be finite"),
+        (["--recovery-band-ratio", "nan"], "recovery_band_ratio must be finite"),
+        (["--recovery-band-ratio", "inf"], "recovery_band_ratio must be finite"),
+        (["--recovery-band-ratio", "0"], "recovery_band_ratio must be finite"),
+    ])
+    def test_non_finite_metric_flags_rejected(self, tmp_path, capsys, flags, message):
+        csv = tmp_path / "exp.csv"
+        write_exp_csv(csv)
+        code = main(["analyze", str(csv), *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_output_file(self, tmp_path):
         csv = tmp_path / "exp.csv"
         write_exp_csv(csv)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from risktraj.dynamics import DisturbanceSignal
-from risktraj.errors import ParameterError, TableParseError
+from risktraj.dynamics import DisturbanceSignal, IntegratorConfig
+from risktraj.errors import ParameterError, RisktrajError, TableParseError
 from risktraj.io_formats import (
     ReportDocument,
     TrajectoryTable,
@@ -31,8 +31,17 @@ from risktraj.io_formats import (
     write_scenario_config,
     write_trajectory,
 )
-from risktraj.metrics import MetricsConfig, assemble_report
-from risktraj.scenario import default_config, run_case
+from risktraj.metrics import BASELINE_MODES, MetricsConfig, assemble_report
+from risktraj.scenario import (
+    AnticipatoryPolicy,
+    EnergyParams,
+    PassivePolicy,
+    ReactivePolicy,
+    ScenarioConfig,
+    SolarProfile,
+    default_config,
+    run_case,
+)
 from risktraj.svgplot import emit_plot
 from risktraj.trajectory import TimeGrid, Trajectory
 
@@ -488,6 +497,91 @@ class TestScenarioConfigFile:
         parser.read_string("[energy]\nE_max_J = 10\n")
         with pytest.raises(TableParseError):
             parser_to_config(parser)
+
+
+DEFAULT_PARSER = config_to_parser(default_config())
+CONFIG_KEYS = [(s, k) for s in DEFAULT_PARSER.sections() for k in DEFAULT_PARSER[s]]
+
+config_texts = st.one_of(
+    st.text(),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["true", "false", "end", "none", "pulse", "zero",
+                     "steady_state", "3.9", "1e400", "-0.0", " 1 ", "1_0"]),
+)
+
+
+@st.composite
+def scenario_configs(draw):
+    """Arbitrary valid ScenarioConfigs, every field away from the defaults."""
+    def pos(hi=1e6):
+        return draw(st.floats(1e-6, hi))
+
+    def unit():
+        return draw(st.floats(0.0, 1.0, exclude_max=True))
+
+    e_min, e_ref, e_max = sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=3,
+                                               max_size=3, unique=True)))
+    policies = {
+        "passive": PassivePolicy(P0=pos()),
+        "reactive": ReactivePolicy(P0=pos(), E_on=e_min, E_off=e_max,
+                                   shed_fraction=unit()),
+        "anticipatory": AnticipatoryPolicy(P0=pos(), horizon=pos(),
+                                           E_target=draw(st.floats(-1e6, 1e6)),
+                                           shed_fraction=unit(),
+                                           gain=draw(st.floats(0.0, 1e3))),
+    }
+    cases = draw(st.sets(st.sampled_from(sorted(policies)), min_size=1))
+    t_start = draw(st.floats(-1e3, 1e3))
+    t_end = t_start + pos(1e3)
+    span = t_end - t_start
+    kind = draw(st.sampled_from(["none", "pulse"]))
+    onset = t_start + 0.5 * span * unit()
+    return ScenarioConfig(
+        energy=EnergyParams(E_max=e_max, E_min=e_min, E_ref=e_ref,
+                            E_init=draw(st.floats(e_min, e_max))),
+        solar=SolarProfile(P_peak=pos(), period=pos(),
+                           shape_exponent=draw(st.just(0.0) | st.floats(1.0, 8.0))),
+        policies={case: policies[case] for case in sorted(cases)},
+        disturbance=DisturbanceSignal(
+            kind=kind, onset=onset,
+            duration=0.5 * span * unit(), magnitude=unit(),
+        ),
+        integrator=IntegratorConfig(dt=span / draw(st.integers(1, 10_000)),
+                                    t_start=t_start, t_end=t_end),
+        metrics=MetricsConfig(
+            baseline_mode=draw(st.sampled_from(BASELINE_MODES)),
+            tail_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+            fit_floor_ratio=draw(st.floats(0.0, 1.0, exclude_min=True,
+                                           exclude_max=True)),
+            min_fit_samples=draw(st.integers(3, 10**6)),
+            tail_correction=draw(st.booleans()),
+            horizon=draw(st.none() | st.floats(-1e6, 1e6)),
+            recovery_band_ratio=pos(),
+        ),
+    )
+
+
+class TestConfigTable:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), config_texts),
+                    min_size=1, max_size=3))
+    def test_overridden_config_parses_or_raises_toolkit_error(self, edits):
+        parser = config_to_parser(default_config())
+        apply_overrides(parser, [f"{s}.{k}={v}" for (s, k), v in edits])
+        try:
+            config = parser_to_config(parser)
+        except RisktrajError:
+            return
+        assert isinstance(config, ScenarioConfig)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scenario_configs())
+    def test_written_config_reads_back_equal(self, tmp_path_factory, config):
+        path = tmp_path_factory.mktemp("cfg") / "scenario.ini"
+        write_scenario_config(config, path)
+        assert read_scenario_config(path) == config
+        assert config_to_text(read_scenario_config(path)) == config_to_text(config)
 
 
 class TestEmitPlot:

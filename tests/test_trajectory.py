@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from risktraj.errors import ParameterError
-from risktraj.trajectory import (
-    TimeGrid,
-    Trajectory,
-    estimate_steady_state,
-    sample_function,
-    shift_baseline,
-)
+from risktraj.trajectory import TimeGrid, Trajectory, estimate_steady_state
 
 
 def exp_by_series(x):
@@ -71,6 +65,11 @@ class TestTrajectory:
         traj = Trajectory(grid, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             traj.values[0] = 9.0
+
+
+def sample_function(f, grid):
+    """A scalar function of time on every grid sample, as a Trajectory."""
+    return Trajectory(grid, [float(f(t)) for t in grid.times()])
 
 
 class TestSampleFunction:
@@ -138,35 +137,3 @@ class TestSteadyState:
         with pytest.raises(ParameterError):
             estimate_steady_state(traj, 0.5)
 
-
-class TestShiftBaseline:
-    def test_self_cancellation(self):
-        grid = TimeGrid(t_start=0.0, dt=1.0, n_samples=3)
-        traj = Trajectory(grid, [0.3] * 3)
-        assert np.array_equal(shift_baseline(traj, 0.3).values, np.zeros(3))
-
-    def test_zero_shift_is_identity(self):
-        grid = TimeGrid(t_start=0.0, dt=1.0, n_samples=3)
-        traj = Trajectory(grid, [2.0, 1.0, 0.5])
-        assert np.array_equal(shift_baseline(traj, 0.0).values, traj.values)
-
-    def test_hand_arithmetic(self):
-        grid = TimeGrid(t_start=0.0, dt=1.0, n_samples=2)
-        traj = Trajectory(grid, [2.0, 1.0])
-        assert np.array_equal(shift_baseline(traj, 0.5).values, [1.5, 0.5])
-
-    def test_round_trip_within_one_ulp(self):
-        rng = np.random.default_rng(7)
-        grid = TimeGrid(t_start=0.0, dt=0.1, n_samples=200)
-        traj = Trajectory(grid, rng.normal(size=200))
-        shifted = shift_baseline(traj, 0.7321)
-        back = shift_baseline(shifted, -0.7321)
-        # one ulp at the scale each element passed through (value or shifted)
-        bound = np.spacing(np.maximum(np.abs(traj.values),
-                                      np.abs(shifted.values)))
-        assert np.all(np.abs(back.values - traj.values) <= bound)
-
-    def test_grid_unchanged(self):
-        grid = TimeGrid(t_start=1.0, dt=0.25, n_samples=4)
-        traj = Trajectory(grid, [1.0, 2.0, 3.0, 4.0])
-        assert shift_baseline(traj, 1.0).grid == grid
