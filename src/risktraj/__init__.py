@@ -9,6 +9,7 @@ damping and cumulative impact of the resulting risk trajectory.
 from .dynamics import (
     DisturbanceSignal,
     DynamicalSystem,
+    FreeFlight,
     IntegrationResult,
     IntegratorConfig,
     integrate,
@@ -68,6 +69,7 @@ __all__ = [
     "DisturbanceSignal",
     "DynamicalSystem",
     "EnergyParams",
+    "FreeFlight",
     "InsufficientRecoveryDataError",
     "IntegrationDivergedError",
     "IntegrationResult",

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import MAX_STEPS
 from .errors import RisktrajError
 from .io_formats import (
     ReportDocument,
@@ -105,12 +106,14 @@ def _metrics_from_flags(args) -> MetricsConfig:
 
 
 def _cmd_analyze(args) -> int:
-    table = read_trajectory(args.input)
+    digest = hashlib.sha256()
+    table = read_trajectory(args.input, digest)
     traj = table.trajectory("r")
     t0 = traj.grid.t_start if args.t0 is None else args.t0
     report = assemble_report(traj, t0, _metrics_from_flags(args))
-    digest = "sha256:" + hashlib.sha256(Path(args.input).read_bytes()).hexdigest()[:16]
-    doc = ReportDocument.from_report(report, "external", digest)
+    doc = ReportDocument.from_report(
+        report, "external", "sha256:" + digest.hexdigest()[:16]
+    )
     if args.out is None:
         sys.stdout.write(report_to_text(doc))
     else:
@@ -167,6 +170,8 @@ def _cmd_compare(args) -> int:
 
 
 def _parse_range(spec: str) -> np.ndarray:
+    """Sweep values of start:stop:count. Each value runs at least one step
+    per case, so the count is held to the step limit MAX_STEPS."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise RisktrajError(f"range {spec!r} is not of the form start:stop:count")
@@ -175,8 +180,8 @@ def _parse_range(spec: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError:
         raise RisktrajError(f"range {spec!r} has non-numeric parts") from None
-    if count < 1:
-        raise RisktrajError(f"range count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_STEPS:
+        raise RisktrajError(f"range count must be in [1, {MAX_STEPS}], got {count}")
     if stop < start:
         raise RisktrajError(f"range stop {stop} is below start {start}")
     if count == 1:
@@ -198,11 +203,13 @@ def _cmd_sweep(args) -> int:
             f"{case_id}_impact",
         ]
     rows = []
+    first = None  # the first value's comparison: cases it leaves unchanged are reused
     for value in values:
         parser = _load_parser(
             args.config, [*overrides, f"{args.param}={format_number(value)}"]
         )
-        comparison = compare_cases(parser_to_config(parser))
+        comparison = compare_cases(parser_to_config(parser), reuse=first)
+        first = first or comparison
         cells = [format_number(value)]
         for case_id in CASE_IDS:
             rep = comparison.cases[case_id].report

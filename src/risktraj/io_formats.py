@@ -221,9 +221,18 @@ def table_from_text(text: str) -> TrajectoryTable:
         raise TableParseError(str(exc)) from None
 
 
-def read_trajectory(source) -> TrajectoryTable:
+def read_trajectory(source, digest=None) -> TrajectoryTable:
+    """The table in the CSV file source.
+
+    digest, when given, is a hashlib object; it is updated with the bytes
+    that were parsed, so the file is read once.
+    """
+    raw = Path(source).read_bytes()
+    if digest is not None:
+        digest.update(raw)
     try:
-        text = Path(source).read_text()
+        # decoded as Path.read_text() decodes: locale encoding, universal newlines
+        text = io.TextIOWrapper(io.BytesIO(raw)).read()
     except UnicodeDecodeError as exc:
         raise TableParseError(
             f"{source}: not a text file ({exc.reason} at byte {exc.start})"
@@ -234,7 +243,7 @@ def read_trajectory(source) -> TrajectoryTable:
 # ---------------------------------------------------------------------------
 # value kinds shared by the report and config tables
 
-_NUMBER = "number"  # finite in a config, any float in a report
+_NUMBER = "number"  # finite
 _WHOLE = "whole"
 _FLAG = "flag"  # true or false
 _WORD = "word"
@@ -254,7 +263,7 @@ def _format_value(value, kind: str, number: Callable[[float], str]) -> str:
     return number(value)
 
 
-def _parse_value(raw: str, kind: str, where: str, finite: bool):
+def _parse_value(raw: str, kind: str, where: str):
     """Value of one table entry; `where` names the entry in error messages."""
     kind, _, marker = kind.partition("|")
     if kind == _WORD:
@@ -269,7 +278,7 @@ def _parse_value(raw: str, kind: str, where: str, finite: bool):
         value = float(raw)
     except ValueError:
         raise TableParseError(f"bad number for {where}: {raw!r}") from None
-    if finite and not math.isfinite(value):
+    if not math.isfinite(value):
         raise TableParseError(f"bad number for {where}: {raw!r}")
     if kind == _WHOLE:
         if not value.is_integer():
@@ -365,11 +374,14 @@ def report_from_text(text: str) -> ReportDocument:
 
     if need("schema") != REPORT_SCHEMA:
         raise TableParseError(f"unsupported schema {entries['schema']!r}")
-    return ReportDocument(
-        **{attr: _parse_value(need(key), kind, repr(key), finite=False)
-           for key, attr, kind in _REPORT_KEYS},
-        absent=absent,
-    )
+    try:
+        return ReportDocument(
+            **{attr: _parse_value(need(key), kind, repr(key))
+               for key, attr, kind in _REPORT_KEYS},
+            absent=absent,
+        )
+    except ParameterError as exc:
+        raise TableParseError(str(exc)) from None
 
 
 def write_report(doc: ReportDocument, destination) -> None:
@@ -478,7 +490,7 @@ def _config_value(parser, section: str, key: str, kind: str):
     raw = parser[section].get(key, _CONFIG_OPTIONAL.get((section, key)))
     if raw is None:
         raise TableParseError(f"missing config key [{section}] {key}")
-    return _parse_value(raw, kind, f"[{section}] {key}", finite=True)
+    return _parse_value(raw, kind, f"[{section}] {key}")
 
 
 def parser_to_config(parser: configparser.ConfigParser) -> ScenarioConfig:

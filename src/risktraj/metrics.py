@@ -76,7 +76,10 @@ class ResilienceReport:
 
     Fields that could not be computed are None, with the reason recorded
     in `absent` (keyed by field name). recovery_time None means the
-    deviation never settled inside the recovery band.
+    deviation never settled inside the recovery band. Every report, built
+    by assemble_report or read back from text, holds finite numbers,
+    recovered exactly when recovery_time is set, and lambda_hat None
+    exactly when absent names it.
     """
 
     t0: float
@@ -91,6 +94,23 @@ class ResilienceReport:
     recovered: bool
     tail_corrected: bool
     absent: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("t0", "r0", "t_peak", "lambda_hat", "fit_quality",
+                     "impact_numeric", "impact_closed_form", "steady_state",
+                     "recovery_time"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
+        if self.recovered != (self.recovery_time is not None):
+            raise ParameterError(
+                f"recovered={self.recovered} contradicts "
+                f"recovery_time={self.recovery_time}"
+            )
+        if (self.lambda_hat is None) != ("lambda_hat" in self.absent):
+            raise ParameterError(
+                "lambda_hat must be absent exactly when absent.lambda_hat gives a reason"
+            )
 
 
 def peak_deviation(

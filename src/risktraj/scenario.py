@@ -11,6 +11,7 @@ shedding plus proportional feedback).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -21,6 +22,7 @@ import numpy as np
 from .dynamics import (
     DisturbanceSignal,
     DynamicalSystem,
+    FreeFlight,
     IntegratorConfig,
     integrate,
 )
@@ -154,8 +156,8 @@ class AnticipatoryPolicy:
             raise ParameterError(
                 f"shed_fraction must be in [0, 1), got {self.shed_fraction}"
             )
-        if self.gain < 0.0:
-            raise ParameterError(f"gain must be >= 0, got {self.gain}")
+        if not 0.0 <= self.gain < math.inf:
+            raise ParameterError(f"gain must be finite and >= 0, got {self.gain}")
 
 
 LoadPolicy = Union[PassivePolicy, ReactivePolicy, AnticipatoryPolicy]
@@ -282,7 +284,12 @@ class SolarEnergyTable:
 
 
 def _shed_law(policy: LoadPolicy, config: ScenarioConfig):
-    """Shedding-flag update (t, E, prev) -> bool for one policy.
+    """Shedding-flag update of one policy, as (update, update_many).
+
+    update(t, E, prev) -> bool runs at each grid time of the scalar step;
+    update_many(steps, E, prev) is the same rule over the array of levels
+    at the grid indices in the slice steps, for free flight. Each policy
+    writes its rule once, for floats and arrays alike.
 
     The anticipatory policy forecasts the energy level from the
     undisturbed input energy over [t, t + horizon]. The flag is only
@@ -291,26 +298,31 @@ def _shed_law(policy: LoadPolicy, config: ScenarioConfig):
     index by rounding.
     """
     if isinstance(policy, PassivePolicy):
-        return lambda _t, _E, _prev: False
+        def never(_at, _E, _prev):
+            return False
+
+        return never, never
     if isinstance(policy, ReactivePolicy):
         E_on, E_off = policy.E_on, policy.E_off
 
-        def update(_t: float, E: float, prev: bool) -> bool:
-            if E < E_on:
-                return True
-            if E > E_off:
-                return False
-            return prev
+        def hysteresis(_at, E, prev):
+            # True below E_on, False above E_off, prev in between
+            return (E < E_on) | (prev & (E <= E_off))
 
-        return update
+        return hysteresis, hysteresis
     spent = policy.P0 * policy.horizon
     E_target = policy.E_target
     t_start, dt = config.integrator.t_start, config.integrator.dt
     times = TimeGrid(t_start, dt, config.integrator.n_steps() + 1).times()
-    table = SolarEnergyTable(config.solar)
-    inflow = table.between(times, times + policy.horizon).tolist()
-    return lambda t, E, _prev: (
-        E + inflow[round((t - t_start) / dt)] - spent < E_target
+    inflow = SolarEnergyTable(config.solar).between(times, times + policy.horizon)
+    inflow_list = inflow.tolist()
+
+    def forecast_short(E, inflow):
+        return E + inflow - spent < E_target
+
+    return (
+        lambda t, E, _prev: forecast_short(E, inflow_list[round((t - t_start) / dt)]),
+        lambda steps, E, _prev: forecast_short(E, inflow[steps]),
     )
 
 
@@ -367,7 +379,9 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
     dE/dt = P_in(t)*d(t) - P_load, with the state clamped to [0, E_max]
     (net inflow is zeroed at the saturated bounds) and risk as the
     observable. The shedding flag evolves as a discrete companion state
-    updated once per integration step.
+    updated once per integration step. Each shedding state declares free
+    flight: its load and the open level interval on which the right-hand
+    side is the input minus that load.
     """
     if case_id not in CASE_IDS:
         raise ConfigurationError(f"unknown case id {case_id!r}")
@@ -382,6 +396,14 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
     solar = config.solar
     E_max = config.energy.E_max
     rmap = config.risk_map()
+    update, update_many = _shed_law(policy, config)
+    # Inside (lo, E_max) nothing clamps and, for the anticipatory policy,
+    # E > E_target zeroes the proportional term, so dE/dt = u - load.
+    lo = max(0.0, policy.E_target) if isinstance(policy, AnticipatoryPolicy) else 0.0
+    flight = {
+        shed: (load, lo, E_max)
+        for shed, load in ((False, policy.P0), (True, _load_floor(policy)))
+    }
 
     def project(E):
         # E is a float or a length-1 array (clipped elementwise); NaN
@@ -395,11 +417,12 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
     return DynamicalSystem(
         rhs=_rhs_law(policy, E_max),
         output_map=lambda _t, E: risk_of_energy(E, rmap),
-        mode_update=_shed_law(policy, config),
+        mode_update=update,
         mode_init=False,
         project=project,
         disturbance_neutral=1.0,
         forcing=lambda times, d: input_power(solar, times, d),
+        free_flight=FreeFlight(flight, update_many),
     )
 
 
@@ -423,6 +446,7 @@ class ComparisonResult:
     cases: Mapping[str, CaseResult]
     r0_ordering_holds: bool       # r0 passive >= reactive >= anticipatory
     impact_ordering_holds: bool   # impact passive > reactive > anticipatory
+    config: ScenarioConfig
 
 
 def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
@@ -466,9 +490,30 @@ def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
     )
 
 
-def compare_cases(config: ScenarioConfig) -> ComparisonResult:
-    """Run all three cases on shared settings and check the orderings."""
-    cases = {case_id: run_case(case_id, config) for case_id in CASE_IDS}
+def _case_slice(case_id: str, config: ScenarioConfig) -> str:
+    """What a run of case_id reads of config: all but the other policies.
+
+    Compared by repr, which tells -0.0 from 0.0 where == does not.
+    """
+    return repr((config.energy, config.solar, config.disturbance,
+                 config.integrator, config.metrics, config.policies.get(case_id)))
+
+
+def compare_cases(
+    config: ScenarioConfig, reuse: ComparisonResult | None = None
+) -> ComparisonResult:
+    """Run all three cases on shared settings and check the orderings.
+
+    A case whose slice of config is the same in the earlier comparison
+    reuse is taken from it instead of being run again.
+    """
+    cases = {
+        case_id: reuse.cases[case_id]
+        if reuse is not None
+        and _case_slice(case_id, reuse.config) == _case_slice(case_id, config)
+        else run_case(case_id, config)
+        for case_id in CASE_IDS
+    }
     r = {cid: cases[cid].report for cid in CASE_IDS}
     r0_ok = (
         r["passive"].r0 >= r["reactive"].r0 >= r["anticipatory"].r0
@@ -479,7 +524,8 @@ def compare_cases(config: ScenarioConfig) -> ComparisonResult:
         > r["anticipatory"].impact_numeric
     )
     return ComparisonResult(
-        cases=cases, r0_ordering_holds=r0_ok, impact_ordering_holds=impact_ok
+        cases=cases, r0_ordering_holds=r0_ok, impact_ordering_holds=impact_ok,
+        config=config,
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 import risktraj
-from risktraj.cli import main
+from risktraj.cli import _parse_range, main
+from risktraj.dynamics import MAX_STEPS
+from risktraj.errors import RisktrajError
 from risktraj.io_formats import (
     TrajectoryTable,
     read_report,
@@ -17,6 +20,7 @@ from risktraj.io_formats import (
 )
 
 FAST = ["--set", "integrator.dt_s=0.01", "--set", "integrator.t_end_s=72"]
+COARSE_SWEEP = ["--set", "integrator.dt_s=0.02", "--set", "integrator.t_end_s=60"]
 
 
 def write_exp_csv(path, lam=0.5, r0=2.0, dt=0.01, n=3001):
@@ -181,6 +185,25 @@ class TestAnalyze:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    def test_digest_of_the_bytes_parsed(self, tmp_path, capsys, monkeypatch):
+        # The input is read once: the digest is of the bytes that were
+        # parsed, even when the file changes after the read.
+        csv = tmp_path / "exp.csv"
+        write_exp_csv(csv)
+        parsed = csv.read_bytes()
+        read = risktraj.cli.read_trajectory
+
+        def read_then_change(source, digest):
+            table = read(source, digest)
+            Path(source).write_text("t,r\n0,0\n1,0\n")
+            return table
+
+        monkeypatch.setattr(risktraj.cli, "read_trajectory", read_then_change)
+        assert main(["analyze", str(csv)]) == 0
+        doc = report_from_text(capsys.readouterr().out)
+        assert doc.config_digest == "sha256:" + hashlib.sha256(parsed).hexdigest()[:16]
+        assert doc.r0 == pytest.approx(2.0)
+
     def test_output_file(self, tmp_path):
         csv = tmp_path / "exp.csv"
         write_exp_csv(csv)
@@ -258,6 +281,46 @@ class TestSweep:
                      "--range", "0.5:0.1:3", "--out", str(tmp_path / "s.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param, runs", [
+        ("policy.anticipatory.gain_W_per_J", 2 + 3),  # passive, reactive once
+        ("solar.P_peak_W", 3 * 3),
+    ])
+    def test_unchanged_cases_run_once(self, tmp_path, monkeypatch, param, runs):
+        calls = []
+        run_case = risktraj.scenario.run_case
+
+        def counted(case_id, config):
+            calls.append(case_id)
+            return run_case(case_id, config)
+
+        monkeypatch.setattr(risktraj.scenario, "run_case", counted)
+        assert main(["sweep", "--param", param, "--range", "8:12:3",
+                     "--out", str(tmp_path / "s.csv"), *COARSE_SWEEP]) == 0
+        assert len(calls) == runs
+
+    def test_reuse_matches_per_value_runs(self, tmp_path):
+        # Each 1-point sweep runs all three cases; together they must give
+        # the bytes of the 3-point sweep that reuses passive and reactive.
+        def sweep(spec, name):
+            out = tmp_path / name
+            assert main(["sweep", "--param", "policy.anticipatory.gain_W_per_J",
+                         "--range", spec, "--out", str(out), *COARSE_SWEEP]) == 0
+            return out.read_text().splitlines()
+
+        whole = sweep("0:2:3", "whole.csv")
+        parts = [sweep(f"{v}:{v}:1", f"{v}.csv") for v in ("0", "1", "2")]
+        assert whole == parts[0][:1] + [part[1] for part in parts]
+
+    @pytest.mark.parametrize("count", [str(10**12), str(MAX_STEPS + 1)])
+    def test_huge_count_rejected_before_allocation(self, count):
+        with pytest.raises(RisktrajError, match="range count"):
+            _parse_range(f"0:1:{count}")
+
+    def test_count_at_limit_accepted(self, monkeypatch):
+        # linspace is stubbed so the limit is checked without allocating
+        monkeypatch.setattr(np, "linspace", lambda start, stop, count: count)
+        assert _parse_range(f"0:1:{MAX_STEPS}") == MAX_STEPS
 
     def test_non_sweepable_parameter(self, tmp_path, capsys):
         code = main(["sweep", "--param", "nosuch.key",

@@ -257,14 +257,11 @@ def test_forcing_and_divergence_match_per_step_reference(window, blowup, neutral
     assert result.modes == modes
 
 
-def test_each_substep_input_sampled_once():
-    # A structural guard, not a timing: a step costs four rhs calls, one
-    # mode update and one projection, and each substep time reaches the
-    # forcing exactly once, over a run that spans two sampling blocks.
+def _probed_run(free_flight):
+    """Counted rhs/mode_update/project calls and the forcing's times."""
     config = dataclasses.replace(
         default_config(), integrator=IntegratorConfig(dt=0.02, t_start=0.0, t_end=144.0))
     integ = config.integrator
-    n = integ.n_steps()
     system = build_case("anticipatory", config)
     calls, seen = Counter(), []
 
@@ -281,10 +278,32 @@ def test_each_substep_input_sampled_once():
     probe = dataclasses.replace(
         system, rhs=counted("rhs", system.rhs),
         mode_update=counted("mode_update", system.mode_update),
-        project=counted("project", system.project), forcing=forcing)
+        project=counted("project", system.project), forcing=forcing,
+        free_flight=system.free_flight if free_flight else None)
     integrate(probe, config.energy.E_init, config.disturbance, integ)
-    assert n > 4096
-    assert calls == {"rhs": 4 * n, "mode_update": n + 1, "project": n + 1}
+    return calls, seen, integ
+
+
+def _assert_sampled_once(seen, integ):
+    n = integ.n_steps()
     assert len(seen) == len(set(seen)) == 2 * n + 1
     grid = integ.t_start + integ.dt * np.arange(n + 1)
     assert set(seen) == set(grid.tolist()) | set((grid[:-1] + 0.5 * integ.dt).tolist())
+
+
+def test_each_substep_input_sampled_once():
+    # A structural guard, not a timing: a step costs four rhs calls, one
+    # mode update and one projection, and each substep time reaches the
+    # forcing exactly once, over a run that spans two sampling blocks.
+    # Free flight is off, so every step takes the scalar path.
+    calls, seen, integ = _probed_run(free_flight=False)
+    n = integ.n_steps()
+    assert n > 4096
+    assert calls == {"rhs": 4 * n, "mode_update": n + 1, "project": n + 1}
+    _assert_sampled_once(seen, integ)
+
+
+def test_each_substep_input_sampled_once_in_free_flight():
+    calls, seen, integ = _probed_run(free_flight=True)
+    assert 0 < calls["rhs"] < 4 * integ.n_steps()
+    _assert_sampled_once(seen, integ)

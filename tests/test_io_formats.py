@@ -409,6 +409,36 @@ class TestReportDocument:
         assert "absent.lambda_hat = no positive peak deviation" in text
         assert report_from_text(text) == doc
 
+    @pytest.mark.parametrize("old, new", [
+        ("r0 = 0.5319", "r0 = nan"),
+        ("t_peak_s = 42.475", "t_peak_s = inf"),
+        ("recovery_time_s = 102.65", "recovery_time_s = not_recovered"),
+        ("recovered = true", "recovered = false"),
+        ("lambda_hat_per_s = 0.028", "lambda_hat_per_s = absent"),
+    ])
+    def test_reader_rejects_bad_or_contradictory_values(self, old, new):
+        text = report_to_text(sample_document())
+        assert old in text
+        with pytest.raises(TableParseError):
+            report_from_text(text.replace(old, new))
+
+    def test_reader_rejects_unexplained_absence(self):
+        text = report_to_text(sample_document())
+        with pytest.raises(TableParseError, match="lambda_hat"):
+            report_from_text(text + "absent.lambda_hat = no fit\n")
+
+    @pytest.mark.parametrize("overrides", [
+        {"r0": math.nan},
+        {"impact_numeric": math.inf},
+        {"recovered": False},
+        {"recovery_time": None},
+        {"lambda_hat": None},
+        {"absent": {"lambda_hat": "no fit"}},
+    ])
+    def test_report_invariants_on_construction(self, overrides):
+        with pytest.raises(ParameterError):
+            sample_document(**overrides)
+
     def test_not_recovered_marker(self):
         doc = sample_document(recovery_time=None, recovered=False)
         text = report_to_text(doc)
