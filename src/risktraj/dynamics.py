@@ -269,9 +269,10 @@ def integrate(
         times = t_start + dt * np.arange(lo, hi + 1)
         mids = times[:-1] + half
         sampled = inputs(np.concatenate((mids, times[1:])))
-        # each step starts on the input that ended the step before it
-        a_mid, a_end = sampled[:m], sampled[m:]
-        a_start = np.concatenate(([u1], a_end[:-1]))
+        a_mid = sampled[:m]
+        # the input at each of times: a step starts on the one that ended
+        # the step before it
+        a_edge = np.concatenate(([u1], sampled[m:]))
         out = []  # states of scalar steps not yet written to states
         push = out.append
         steps = None  # the scalar loop's per-step floats, built on first use
@@ -280,7 +281,7 @@ def integrate(
             if free_lo < x < free_hi:
                 e = min(j + span, m)
                 p, run = _flight(x, mode, free, slice(lo + j, lo + e),
-                                 a_start[j:e], a_mid[j:e], a_end[j:e], dt)
+                                 a_edge[j:e], a_mid[j:e], a_edge[j + 1:e + 1], dt)
                 if p:
                     x = run[p].item()
                     if project is not None:
@@ -305,9 +306,8 @@ def integrate(
                 span = max(2 * p, _MIN_SPAN)
             # scalar steps from j until one ends where a pass may open
             if steps is None:
-                us = sampled.tolist()
-                ts = times.tolist()
-                steps = zip(ts, mids.tolist(), ts[1:], a_start.tolist(), us[:m], us[m:])
+                ts, us = times.tolist(), a_edge.tolist()
+                steps = zip(ts, mids.tolist(), ts[1:], us, a_mid.tolist(), us[1:])
                 done = 0  # steps drawn from steps
             next(islice(steps, j - done, j - done), None)
             pushed = len(out)
@@ -331,7 +331,7 @@ def integrate(
                     break
             j = done = j + len(out) - pushed
         states[hi + 1 - len(out):hi + 1] = out
-        u1 = a_end[-1].item()
+        u1 = a_edge[-1].item()
 
     if mode_update is not None:
         modes.append(mode_update(grid.t_end, x, mode))

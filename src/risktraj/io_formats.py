@@ -221,23 +221,29 @@ def table_from_text(text: str) -> TrajectoryTable:
         raise TableParseError(str(exc)) from None
 
 
+def _read_text(source, digest) -> str:
+    """The text of file source, decoded as Path.read_text() decodes it
+    (locale encoding, universal newlines); digest, when given, is updated
+    with the bytes read. Only the text outlives the call, so the bytes are
+    freed before the parse."""
+    raw = Path(source).read_bytes()
+    if digest is not None:
+        digest.update(raw)
+    try:
+        return io.TextIOWrapper(io.BytesIO(raw)).read()
+    except UnicodeDecodeError as exc:
+        raise TableParseError(
+            f"{source}: not a text file ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def read_trajectory(source, digest=None) -> TrajectoryTable:
     """The table in the CSV file source.
 
     digest, when given, is a hashlib object; it is updated with the bytes
     that were parsed, so the file is read once.
     """
-    raw = Path(source).read_bytes()
-    if digest is not None:
-        digest.update(raw)
-    try:
-        # decoded as Path.read_text() decodes: locale encoding, universal newlines
-        text = io.TextIOWrapper(io.BytesIO(raw)).read()
-    except UnicodeDecodeError as exc:
-        raise TableParseError(
-            f"{source}: not a text file ({exc.reason} at byte {exc.start})"
-        ) from None
-    return table_from_text(text)
+    return table_from_text(_read_text(source, digest))
 
 
 # ---------------------------------------------------------------------------
