@@ -9,7 +9,6 @@ damping and cumulative impact of the resulting risk trajectory.
 from .dynamics import (
     DisturbanceSignal,
     DynamicalSystem,
-    FreeFlight,
     IntegrationResult,
     IntegratorConfig,
     integrate,
@@ -69,7 +68,6 @@ __all__ = [
     "DisturbanceSignal",
     "DynamicalSystem",
     "EnergyParams",
-    "FreeFlight",
     "InsufficientRecoveryDataError",
     "IntegrationDivergedError",
     "IntegrationResult",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -180,6 +181,8 @@ def _parse_range(spec: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError:
         raise RisktrajError(f"range {spec!r} has non-numeric parts") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise RisktrajError(f"range {spec!r} must have a finite start and stop")
     if not 1 <= count <= MAX_STEPS:
         raise RisktrajError(f"range count must be in [1, {MAX_STEPS}], got {count}")
     if stop < start:

@@ -9,13 +9,15 @@ observable; systems that carry a discrete companion mode (e.g. a
 load-shedding flag) declare a mode_update hook, which is applied once
 per full step so the RK4 substeps always see a frozen mode.
 
-A system may also declare where its dynamics are free of the state
-(FreeFlight): per mode a constant load L and an open interval on which
-f(t, x, u) == u - L bit for bit. A stretch of steps that stays inside
-that interval without a mode change is stepped in one numpy pass, its
-states taken with one cumulative sum; the result equals the scalar
-loop's bit for bit, because both evaluate the same floating-point
-expressions in the same order.
+A system may also declare free flight: per mode a constant load L and
+an open interval on which f(t, x, u) == u - L bit for bit. A stretch of
+steps that stays inside that interval without a mode change is stepped
+in one numpy pass, its states taken with one cumulative sum; the result
+equals the scalar loop's bit for bit, because both evaluate the same
+floating-point expressions in the same order. The mode update takes the
+grid index of the step rather than its time, so one law serves both
+paths: the scalar loop calls it with an int and a float, a pass with a
+slice of indices and the array of states.
 """
 
 from __future__ import annotations
@@ -75,22 +77,6 @@ class DisturbanceSignal:
 
 
 @dataclass(frozen=True)
-class FreeFlight:
-    """Where a system's right-hand side does not depend on the state.
-
-    flight maps each mode to (load, lo, hi): for every lo < x < hi,
-    rhs(t, x, u, mode) must equal u - load bit for bit, and project(x)
-    must be x itself. modes(steps, x, mode) is the system's mode_update
-    over arrays: x holds the states at the grid indices in the slice
-    steps, and the result holds the mode each would switch to from mode
-    (a scalar where the mode cannot change).
-    """
-
-    flight: Mapping[Any, tuple[float, float, float]]
-    modes: Callable[[slice, np.ndarray, Any], Any]
-
-
-@dataclass(frozen=True)
 class DynamicalSystem:
     """Right-hand side bundle handed to integrate(); the state is one float.
 
@@ -101,25 +87,30 @@ class DynamicalSystem:
     Unset, u is the disturbance value d itself. integrate() calls it once
     per block of steps, never inside the step loop. When
     mode_update is set, rhs receives the current mode as a fourth argument
-    and mode_update(t, x, mode) is called once at the start of every step
-    (never inside substeps) and once at the end time. project, when set,
+    and mode_update(k, x, mode) is called with the grid index k and the
+    state there, once at the start of every step (never inside substeps)
+    and once with k = n_steps at the end time. project, when set,
     maps the state to the admissible set after every step (state
     constraints such as storage saturation) and must let NaN through so
     divergence is still reported. output_map(times, states), when set, is
     called once on the recorded arrays and returns the observable array.
-    free_flight, when set, declares where rhs is u - load (see
-    FreeFlight); integrate() then steps such stretches in numpy passes,
-    with the same states and modes as the scalar loop, bit for bit.
+    free_flight, when set, maps each mode to (load, lo, hi): for every
+    lo < x < hi, rhs(t, x, u, mode) must equal u - load bit for bit and
+    project(x) must be x itself. integrate() then steps such stretches in
+    numpy passes, calling mode_update(steps, x, mode) with the slice of
+    grid indices and the array of states there, so the law must accept
+    arrays too (a scalar result means the mode cannot change). States and
+    modes equal the scalar loop's, bit for bit.
     """
 
     rhs: Callable[..., float]
     output_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    mode_update: Callable[[float, float, Any], Any] | None = None
+    mode_update: Callable[[Any, Any, Any], Any] | None = None
     mode_init: Any = None
     project: Callable[[float], float] | None = None
     disturbance_neutral: float = 0.0
     forcing: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    free_flight: FreeFlight | None = None
+    free_flight: Mapping[Any, tuple[float, float, float]] | None = None
 
 
 @dataclass(frozen=True)
@@ -161,7 +152,7 @@ class IntegrationResult:
     modes: tuple | None
 
 
-def _flight(x, mode, free, steps, u0, um, u1, dt):
+def _flight(x, mode, flight, mode_update, steps, u0, um, u1, dt):
     """Free-flight pass in mode over the steps whose inputs are u0, um, u1.
 
     x is the state at the first step; steps is the slice of their grid
@@ -169,20 +160,25 @@ def _flight(x, mode, free, steps, u0, um, u1, dt):
     states[i] is the state after i of them, computed as the scalar loop
     computes it.
     """
-    load, lo, hi = free.flight[mode]
+    load, lo, hi = flight[mode]
     half, sixth = 0.5 * dt, dt / 6.0
-    k1, k2, k4 = u0 - load, um - load, u1 - load
-    states = np.empty(len(k1) + 1)
-    states[0] = x
-    states[1:] = sixth * (k1 + 2.0 * (k2 + k2) + k4)
-    # add.accumulate adds in order, so each state is x + inc as in the loop
-    np.cumsum(states, out=states)
-    x = states[:-1]
-    sub = (x + half * k1, x + half * k2, x + dt * k2)
-    low = np.minimum(np.minimum(x, sub[0]), np.minimum(sub[1], sub[2]))
-    high = np.maximum(np.maximum(x, sub[0]), np.maximum(sub[1], sub[2]))
-    # NaN fails both comparisons, so a diverging step is never free
-    ok = (lo < low) & (high < hi) & (free.modes(steps, x, mode) == mode)
+    # Steps that overflow are not free and go to the scalar loop, so the
+    # array arithmetic on them is discarded without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1, k2, k4 = u0 - load, um - load, u1 - load
+        states = np.empty(len(k1) + 1)
+        states[0] = x
+        states[1:] = sixth * (k1 + 2.0 * (k2 + k2) + k4)
+        # add.accumulate adds in order, so each state is x + inc as in the loop
+        np.cumsum(states, out=states)
+        x = states[:-1]
+        sub = (x + half * k1, x + half * k2, x + dt * k2)
+        low = np.minimum(np.minimum(x, sub[0]), np.minimum(sub[1], sub[2]))
+        high = np.maximum(np.maximum(x, sub[0]), np.maximum(sub[1], sub[2]))
+        # NaN fails both comparisons, so a diverging step is never free
+        ok = (lo < low) & (high < hi)
+        if mode_update is not None:
+            ok &= mode_update(steps, x, mode) == mode
     p = int(np.argmin(ok))
     return (p if not ok[p] else len(ok)), states
 
@@ -249,12 +245,12 @@ def integrate(
     if project is not None:
         x = project(x)
     isfinite = math.isfinite
-    free = system.free_flight
+    flight = system.free_flight
     # A pass opens only inside the hull of the intervals, so a step
     # outside all of them costs one comparison.
-    free_lo, free_hi = (math.inf, -math.inf) if free is None else (
-        min(lo for _, lo, _ in free.flight.values()),
-        max(hi for _, _, hi in free.flight.values()))
+    free_lo, free_hi = (math.inf, -math.inf) if flight is None else (
+        min(lo for _, lo, _ in flight.values()),
+        max(hi for _, _, hi in flight.values()))
     span = _BLOCK_STEPS
 
     states = np.empty(n_steps + 1)
@@ -280,7 +276,7 @@ def integrate(
         while j < m:
             if free_lo < x < free_hi:
                 e = min(j + span, m)
-                p, run = _flight(x, mode, free, slice(lo + j, lo + e),
+                p, run = _flight(x, mode, flight, mode_update, slice(lo + j, lo + e),
                                  a_edge[j:e], a_mid[j:e], a_edge[j + 1:e + 1], dt)
                 if p:
                     x = run[p].item()
@@ -307,13 +303,14 @@ def integrate(
             # scalar steps from j until one ends where a pass may open
             if steps is None:
                 ts, us = times.tolist(), a_edge.tolist()
-                steps = zip(ts, mids.tolist(), ts[1:], us, a_mid.tolist(), us[1:])
+                steps = zip(range(lo, hi), ts, mids.tolist(), ts[1:], us,
+                            a_mid.tolist(), us[1:])
                 done = 0  # steps drawn from steps
             next(islice(steps, j - done, j - done), None)
             pushed = len(out)
-            for t, tm, t1, u0, um, u1 in steps:
+            for k, t, tm, t1, u0, um, u1 in steps:
                 if mode_update is not None:
-                    mode = mode_update(t, x, mode)
+                    mode = mode_update(k, x, mode)
                     modes.append(mode)
                 k1 = rhs(t, x, u0, mode)
                 k2 = rhs(tm, x + half * k1, um, mode)
@@ -334,7 +331,7 @@ def integrate(
         u1 = a_edge[-1].item()
 
     if mode_update is not None:
-        modes.append(mode_update(grid.t_end, x, mode))
+        modes.append(mode_update(n_steps, x, mode))
 
     observable = None
     if system.output_map is not None:

@@ -223,6 +223,9 @@ def recovery_time(
     return traj.grid.time_at(i_pk + last + 1)
 
 
+# Values near the float limit overflow the reductions; the report's
+# finiteness check then rejects the result, so numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_report(
     traj: Trajectory, t0: float, config: MetricsConfig
 ) -> ResilienceReport:

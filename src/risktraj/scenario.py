@@ -22,7 +22,6 @@ import numpy as np
 from .dynamics import (
     DisturbanceSignal,
     DynamicalSystem,
-    FreeFlight,
     IntegratorConfig,
     integrate,
 )
@@ -284,46 +283,40 @@ class SolarEnergyTable:
 
 
 def _shed_law(policy: LoadPolicy, config: ScenarioConfig):
-    """Shedding-flag update of one policy, as (update, update_many).
+    """Shedding-flag update (k, E, prev) -> bool of one policy.
 
-    update(t, E, prev) -> bool runs at each grid time of the scalar step;
-    update_many(steps, E, prev) is the same rule over the array of levels
-    at the grid indices in the slice steps, for free flight. Each policy
-    writes its rule once, for floats and arrays alike.
+    k is a grid index and E the level there, or a slice of indices and
+    the array of levels at them (free flight); each policy writes its
+    rule once, for floats and arrays alike.
 
     The anticipatory policy forecasts the energy level from the
     undisturbed input energy over [t, t + horizon]. The flag is only
     updated at grid times, so that inflow is computed once on the grid
-    with one vectorised table lookup; a grid time maps back to its sample
-    index by rounding.
+    with one vectorised table lookup and read at the grid index.
     """
     if isinstance(policy, PassivePolicy):
-        def never(_at, _E, _prev):
+        def never(_k, _E, _prev):
             return False
 
-        return never, never
+        return never
     if isinstance(policy, ReactivePolicy):
         E_on, E_off = policy.E_on, policy.E_off
 
-        def hysteresis(_at, E, prev):
+        def hysteresis(_k, E, prev):
             # True below E_on, False above E_off, prev in between
             return (E < E_on) | (prev & (E <= E_off))
 
-        return hysteresis, hysteresis
+        return hysteresis
     spent = policy.P0 * policy.horizon
     E_target = policy.E_target
-    t_start, dt = config.integrator.t_start, config.integrator.dt
-    times = TimeGrid(t_start, dt, config.integrator.n_steps() + 1).times()
+    integ = config.integrator
+    times = TimeGrid(integ.t_start, integ.dt, integ.n_steps() + 1).times()
     inflow = SolarEnergyTable(config.solar).between(times, times + policy.horizon)
-    inflow_list = inflow.tolist()
 
-    def forecast_short(E, inflow):
-        return E + inflow - spent < E_target
+    def forecast_short(k, E, _prev):
+        return E + inflow[k] - spent < E_target
 
-    return (
-        lambda t, E, _prev: forecast_short(E, inflow_list[round((t - t_start) / dt)]),
-        lambda steps, E, _prev: forecast_short(E, inflow[steps]),
-    )
+    return forecast_short
 
 
 def _load_floor(policy: LoadPolicy) -> float:
@@ -396,7 +389,6 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
     solar = config.solar
     E_max = config.energy.E_max
     rmap = config.risk_map()
-    update, update_many = _shed_law(policy, config)
     # Inside (lo, E_max) nothing clamps and, for the anticipatory policy,
     # E > E_target zeroes the proportional term, so dE/dt = u - load.
     lo = max(0.0, policy.E_target) if isinstance(policy, AnticipatoryPolicy) else 0.0
@@ -417,12 +409,12 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
     return DynamicalSystem(
         rhs=_rhs_law(policy, E_max),
         output_map=lambda _t, E: risk_of_energy(E, rmap),
-        mode_update=update,
+        mode_update=_shed_law(policy, config),
         mode_init=False,
         project=project,
         disturbance_neutral=1.0,
         forcing=lambda times, d: input_power(solar, times, d),
-        free_flight=FreeFlight(flight, update_many),
+        free_flight=flight,
     )
 
 

@@ -185,6 +185,26 @@ class TestAnalyze:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("values, baseline", [
+        ([1.7e308], "zero"),
+        ([1.7e308, 1.6e308], "zero"),
+        ([1.7e308, 1.6e308], "steady_state"),
+        ([1.7e308, -1.7e308], "steady_state"),
+    ])
+    def test_overflowing_metrics_print_one_error_line(self, tmp_path, capsys, values,
+                                                      baseline):
+        # Near the float limit the quadrature and the tail mean overflow;
+        # the report's finiteness check is then all that is printed.
+        csv = tmp_path / "big.csv"
+        write_trajectory(TrajectoryTable(
+            t=0.01 * np.arange(2000), signals={"r": np.resize(values, 2000)}), csv)
+        assert main(["analyze", str(csv), "--baseline", baseline]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be finite" in err
+
     def test_digest_of_the_bytes_parsed(self, tmp_path, capsys, monkeypatch):
         # The input is read once: the digest is of the bytes that were
         # parsed, even when the file changes after the read.
@@ -316,6 +336,18 @@ class TestSweep:
     def test_huge_count_rejected_before_allocation(self, count):
         with pytest.raises(RisktrajError, match="range count"):
             _parse_range(f"0:1:{count}")
+
+    @pytest.mark.parametrize("spec", ["1:inf:2", "-inf:0:2", "nan:1:1"])
+    def test_non_finite_range_rejected(self, tmp_path, capsys, spec):
+        with pytest.raises(RisktrajError, match="finite start and stop"):
+            _parse_range(spec)
+        # "--range=" keeps argparse from reading "-inf:0:2" as an option
+        code = main(["sweep", "--param", "solar.P_peak_W", f"--range={spec}",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: range {spec!r} must have a finite start and stop\n")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_count_at_limit_accepted(self, monkeypatch):
         # linspace is stubbed so the limit is checked without allocating

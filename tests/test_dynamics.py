@@ -164,10 +164,10 @@ class TestIntegrate:
 
     def test_mode_updates_once_per_step(self):
         # mode counts steps; rhs slope follows the frozen mode
-        update_times = []
+        update_steps = []
 
-        def mode_update(t, x, mode):
-            update_times.append(t)
+        def mode_update(k, x, mode):
+            update_steps.append(k)
             return mode + 1
 
         system = DynamicalSystem(
@@ -177,7 +177,7 @@ class TestIntegrate:
         )
         result = run(system, [0.0], IntegratorConfig(dt=0.5, t_start=0.0, t_end=2.0))
         assert result.modes == (1, 2, 3, 4, 5)
-        assert update_times == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert update_steps == [0, 1, 2, 3, 4]
         # slopes 1,2,3,4 over the four panels
         assert np.allclose(np.diff(result.states[0].values), [0.5, 1.0, 1.5, 2.0])
 

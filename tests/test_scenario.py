@@ -41,13 +41,13 @@ def solar_input(t, profile, disturbance):
     return input_power(profile, times, disturbance.sample(times, 1.0))[0]
 
 
-def load_power(t, E, prev_shedding, policy, solar):
-    """Delivered load and updated shedding flag of one policy at (t, E)."""
+def load_power(k, E, prev_shedding, policy, solar):
+    """Delivered load and updated shedding flag of one policy at grid index k."""
     case_id = {PassivePolicy: "passive", ReactivePolicy: "reactive",
                AnticipatoryPolicy: "anticipatory"}[type(policy)]
     config = with_policies(
         dataclasses.replace(default_config(), solar=solar), **{case_id: policy})
-    shed = build_case(case_id, config).mode_update(t, E, prev_shedding)
+    shed = build_case(case_id, config).mode_update(k, E, prev_shedding)
     return float(_load_series(policy, np.array([E]), np.array([shed]))[0]), shed
 
 
@@ -103,21 +103,21 @@ class TestLoadPower:
     def test_passive_always_base_load(self):
         policy = PassivePolicy(P0=4.0)
         for E, prev in ((0.0, True), (100.0, False)):
-            assert load_power(0.0, E, prev, policy, SOLAR_K1) == (4.0, False)
+            assert load_power(0, E, prev, policy, SOLAR_K1) == (4.0, False)
 
     def test_reactive_two_step_trace(self):
         policy = ReactivePolicy(P0=4.0, E_on=35.0, E_off=48.0, shed_fraction=0.5)
         # engage below E_on
-        p1, shed1 = load_power(0.0, 30.0, False, policy, SOLAR_K1)
+        p1, shed1 = load_power(0, 30.0, False, policy, SOLAR_K1)
         assert (p1, shed1) == (2.0, True)
         # hold inside the band
-        p2, shed2 = load_power(1.0, 40.0, shed1, policy, SOLAR_K1)
+        p2, shed2 = load_power(1, 40.0, shed1, policy, SOLAR_K1)
         assert (p2, shed2) == (2.0, True)
         # release above E_off
-        p3, shed3 = load_power(2.0, 50.0, shed2, policy, SOLAR_K1)
+        p3, shed3 = load_power(2, 50.0, shed2, policy, SOLAR_K1)
         assert (p3, shed3) == (4.0, False)
         # un-shed inside the band stays un-shed
-        p4, shed4 = load_power(3.0, 40.0, shed3, policy, SOLAR_K1)
+        p4, shed4 = load_power(3, 40.0, shed3, policy, SOLAR_K1)
         assert (p4, shed4) == (4.0, False)
 
     def test_anticipatory_inactive_in_good_conditions(self):
@@ -125,16 +125,16 @@ class TestLoadPower:
             P0=2.0, horizon=24.0, E_target=40.0, shed_fraction=0.5, gain=0.5
         )
         # full-period forecast: mean input (10/pi) exceeds P0, E well above target
-        p, shed = load_power(0.0, 80.0, False, policy, SOLAR_K1)
+        p, shed = load_power(0, 80.0, False, policy, SOLAR_K1)
         assert p == 2.0 and not shed
 
     def test_anticipatory_proportional_reduction_clamped(self):
         policy = AnticipatoryPolicy(
             P0=2.0, horizon=24.0, E_target=40.0, shed_fraction=0.5, gain=0.5
         )
-        p_mid, _ = load_power(0.0, 39.0, False, policy, SOLAR_K1)
+        p_mid, _ = load_power(0, 39.0, False, policy, SOLAR_K1)
         assert p_mid == pytest.approx(1.5)  # 2.0 - 0.5*1.0
-        p_floor, _ = load_power(0.0, 10.0, False, policy, SOLAR_K1)
+        p_floor, _ = load_power(0, 10.0, False, policy, SOLAR_K1)
         assert p_floor == 1.0  # clamped at P0*(1-s)
 
     def test_policy_validation(self):
@@ -246,7 +246,7 @@ class TestRunCase:
             t = result.energy.times()
             E, loads = result.energy.values, result.p_load.values
             for k in range(1, len(t), 211):
-                shed = system.mode_update(t[k], E[k], result.shed[k - 1])
+                shed = system.mode_update(k, E[k], result.shed[k - 1])
                 assert shed == result.shed[k]
                 assert -system.rhs(t[k], E[k], 0.0, shed) == loads[k]
 
