@@ -299,6 +299,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads "-1:1:3" as an option, so join such a range to its flag
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--range" and argv[i].startswith("-") and ":" in argv[i]:
+            argv[i - 1:i + 1] = [f"--range={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -4,13 +4,14 @@ The state is one Python float, stepped without numpy so a step costs a
 few microseconds of interpreter time. Everything that depends on time
 only (the disturbance and the system's forcing) is sampled with numpy
 once per block of steps, so the step loop reads plain floats from lists.
-A system is described by its right-hand side f(t, x, u) plus an optional
-observable; systems that carry a discrete companion mode (e.g. a
-load-shedding flag) declare a mode_update hook, which is applied once
-per full step so the RK4 substeps always see a frozen mode.
+Time reaches a system only through its input: it is described by its
+right-hand side f(x, u) plus an optional observable of the states;
+systems that carry a discrete companion mode (e.g. a load-shedding flag)
+declare a mode_update hook, which is applied once per full step so the
+RK4 substeps always see a frozen mode.
 
 A system may also declare free flight: per mode a constant load L and
-an open interval on which f(t, x, u) == u - L bit for bit. A stretch of
+an open interval on which f(x, u) == u - L bit for bit. A stretch of
 steps that stays inside that interval without a mode change is stepped
 in one numpy pass, its states taken with one cumulative sum; the result
 equals the scalar loop's bit for bit, because both evaluate the same
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -80,22 +80,22 @@ class DisturbanceSignal:
 class DynamicalSystem:
     """Right-hand side bundle handed to integrate(); the state is one float.
 
-    rhs(t, x, u) must be a pure function returning dx/dt as a float; u is
-    the forcing value at that substep time. forcing(times, d), when set,
+    rhs(x, u) must be a pure function returning dx/dt as a float; u is
+    the forcing value at the substep's time. forcing(times, d), when set,
     maps an array of substep times and the disturbance sampled there to
     the array of u values; it must be vectorised and depend on time only.
     Unset, u is the disturbance value d itself. integrate() calls it once
     per block of steps, never inside the step loop. When
-    mode_update is set, rhs receives the current mode as a fourth argument
+    mode_update is set, rhs receives the current mode as a third argument
     and mode_update(k, x, mode) is called with the grid index k and the
     state there, once at the start of every step (never inside substeps)
     and once with k = n_steps at the end time. project, when set,
     maps the state to the admissible set after every step (state
     constraints such as storage saturation) and must let NaN through so
-    divergence is still reported. output_map(times, states), when set, is
-    called once on the recorded arrays and returns the observable array.
+    divergence is still reported. output_map(states), when set, is called
+    once on the recorded state array and returns the observable array.
     free_flight, when set, maps each mode to (load, lo, hi): for every
-    lo < x < hi, rhs(t, x, u, mode) must equal u - load bit for bit and
+    lo < x < hi, rhs(x, u, mode) must equal u - load bit for bit and
     project(x) must be x itself. integrate() then steps such stretches in
     numpy passes, calling mode_update(steps, x, mode) with the slice of
     grid indices and the array of states there, so the law must accept
@@ -104,7 +104,7 @@ class DynamicalSystem:
     """
 
     rhs: Callable[..., float]
-    output_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    output_map: Callable[[np.ndarray], np.ndarray] | None = None
     mode_update: Callable[[Any, Any, Any], Any] | None = None
     mode_init: Any = None
     project: Callable[[float], float] | None = None
@@ -208,10 +208,7 @@ def integrate(
     x = x0.item()
     if not math.isfinite(x):
         raise ParameterError("x0 must be finite")
-    if (
-        disturbance.kind == "pulse"
-        and disturbance.duration < 10 * config.dt
-    ):
+    if disturbance.kind == "pulse" and disturbance.duration < 10 * config.dt:
         warnings.warn(
             f"pulse duration {disturbance.duration} is below 10*dt={10 * config.dt}; "
             "edge errors may dominate",
@@ -220,10 +217,8 @@ def integrate(
 
     n_steps = config.n_steps()
     grid = TimeGrid(config.t_start, config.dt, n_steps + 1)
-    t_start = config.t_start
-    dt = config.dt
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    t_start, dt = config.t_start, config.dt
+    half, sixth = 0.5 * dt, dt / 6.0
 
     neutral = system.disturbance_neutral
     forcing = system.forcing
@@ -237,14 +232,26 @@ def integrate(
     if mode_update is None:
         plain = system.rhs
 
-        def rhs(t: float, x: float, u: float, _mode: Any) -> float:
-            return plain(t, x, u)
+        def rhs(x: float, u: float, _mode: Any) -> float:
+            return plain(x, u)
     else:
         rhs = system.rhs
     project = system.project
-    if project is not None:
-        x = project(x)
     isfinite = math.isfinite
+    states = np.empty(n_steps + 1)
+
+    def store(k: int, x: float) -> float:
+        """Project x, check it and record it as the state at grid index k."""
+        if project is not None:
+            x = project(x)
+        if not isfinite(x):
+            t = grid.time_at(k)
+            raise IntegrationDivergedError(f"non-finite state at t={t}", time=t)
+        states[k] = x
+        return x
+
+    x = store(0, x)
+    modes = None if mode_update is None else []
     flight = system.free_flight
     # A pass opens only inside the hull of the intervals, so a step
     # outside all of them costs one comparison.
@@ -253,89 +260,56 @@ def integrate(
         max(hi for _, _, hi in flight.values()))
     span = _BLOCK_STEPS
 
-    states = np.empty(n_steps + 1)
-    states[0] = x
-    modes = None if mode_update is None else []
-
     # t_start + dt*k is grid.time_at(k) bit for bit, on arrays as on floats.
     u1 = inputs(t_start + dt * np.arange(1))[0].item()
     for lo in range(0, n_steps, _BLOCK_STEPS):
-        hi = min(lo + _BLOCK_STEPS, n_steps)
-        m = hi - lo
-        times = t_start + dt * np.arange(lo, hi + 1)
-        mids = times[:-1] + half
-        sampled = inputs(np.concatenate((mids, times[1:])))
-        a_mid = sampled[:m]
-        # the input at each of times: a step starts on the one that ended
-        # the step before it
-        a_edge = np.concatenate(([u1], sampled[m:]))
-        out = []  # states of scalar steps not yet written to states
-        push = out.append
-        steps = None  # the scalar loop's per-step floats, built on first use
+        m = min(_BLOCK_STEPS, n_steps - lo)
+        times = t_start + dt * np.arange(lo, lo + m + 1)
+        sampled = inputs(np.concatenate((times[:-1] + half, times[1:])))
+        # the input at each grid time of the block (a step starts on the
+        # one that ended the step before it) and at each step's midpoint
+        edge = np.concatenate(([u1], sampled[m:]))
+        mid = sampled[:m]
+        a_edge, a_mid = edge.tolist(), mid.tolist()
         j = 0  # steps of this block done
         while j < m:
             if free_lo < x < free_hi:
                 e = min(j + span, m)
-                p, run = _flight(x, mode, flight, mode_update, slice(lo + j, lo + e),
-                                 a_edge[j:e], a_mid[j:e], a_edge[j + 1:e + 1], dt)
+                k = lo + j
+                p, run = _flight(x, mode, flight, mode_update, slice(k, lo + e),
+                                 edge[j:e], mid[j:e], edge[j + 1:e + 1], dt)
                 if p:
-                    x = run[p].item()
-                    if project is not None:
-                        x = project(x)
-                    if not isfinite(x):
-                        t1 = times[j + p].item()
-                        raise IntegrationDivergedError(
-                            f"non-finite state at t={t1}", time=t1
-                        )
-                    first = lo + j + 1  # where the state after step j goes
-                    states[first - len(out):first] = out
-                    out.clear()
-                    states[first:first + p - 1] = run[1:p]
-                    states[first + p - 1] = x
+                    states[k + 1:k + p] = run[1:p]
+                    x = store(k + p, run[p].item())
                     if modes is not None:
                         modes += [mode] * p
-                whole = p == e - j
                 j += p
-                if whole:
+                if j == e:
                     span = min(2 * span, _BLOCK_STEPS)
                     continue
                 span = max(2 * p, _MIN_SPAN)
             # scalar steps from j until one ends where a pass may open
-            if steps is None:
-                ts, us = times.tolist(), a_edge.tolist()
-                steps = zip(range(lo, hi), ts, mids.tolist(), ts[1:], us,
-                            a_mid.tolist(), us[1:])
-                done = 0  # steps drawn from steps
-            next(islice(steps, j - done, j - done), None)
-            pushed = len(out)
-            for k, t, tm, t1, u0, um, u1 in steps:
+            for j in range(j, m):
                 if mode_update is not None:
-                    mode = mode_update(k, x, mode)
+                    mode = mode_update(lo + j, x, mode)
                     modes.append(mode)
-                k1 = rhs(t, x, u0, mode)
-                k2 = rhs(tm, x + half * k1, um, mode)
-                k3 = rhs(tm, x + half * k2, um, mode)
-                k4 = rhs(t1, x + dt * k3, u1, mode)
-                x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-                if project is not None:
-                    x = project(x)
-                if not isfinite(x):
-                    raise IntegrationDivergedError(
-                        f"non-finite state at t={t1}", time=t1
-                    )
-                push(x)
+                um = a_mid[j]
+                k1 = rhs(x, a_edge[j], mode)
+                k2 = rhs(x + half * k1, um, mode)
+                k3 = rhs(x + half * k2, um, mode)
+                k4 = rhs(x + dt * k3, a_edge[j + 1], mode)
+                x = store(lo + j + 1, x + sixth * (k1 + 2.0 * (k2 + k3) + k4))
                 if free_lo < x < free_hi:
                     break
-            j = done = j + len(out) - pushed
-        states[hi + 1 - len(out):hi + 1] = out
-        u1 = a_edge[-1].item()
+            j += 1
+        u1 = a_edge[-1]
 
     if mode_update is not None:
         modes.append(mode_update(n_steps, x, mode))
 
     observable = None
     if system.output_map is not None:
-        observable = Trajectory(grid, system.output_map(grid.times(), states))
+        observable = Trajectory(grid, system.output_map(states))
 
     return IntegrationResult(
         grid=grid,
@@ -355,7 +329,7 @@ def linear_decay_system(lam: float) -> DynamicalSystem:
     if not (lam > 0 and math.isfinite(lam)):
         raise ParameterError(f"decay rate must be > 0, got {lam}")
 
-    def rhs(_t: float, x: float, _d: float) -> float:
+    def rhs(x: float, _d: float) -> float:
         return -lam * x
 
-    return DynamicalSystem(rhs=rhs, output_map=lambda _t, x: x)
+    return DynamicalSystem(rhs=rhs, output_map=lambda x: x)

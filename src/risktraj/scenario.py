@@ -207,6 +207,13 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     "disturbance window must lie inside the integration window"
                 )
+        # the solar phase 2*pi*t/period must stay finite on the whole grid
+        t_far = max(abs(self.integrator.t_start), abs(self.integrator.t_end))
+        if not math.isfinite(2.0 * math.pi * t_far / self.solar.period):
+            raise ConfigurationError(
+                f"[solar] period_s = {self.solar.period} is too small: the phase "
+                f"2*pi*t/period_s overflows at t = {t_far}"
+            )
 
     def risk_map(self) -> RiskMap:
         return RiskMap(E_ref=self.energy.E_ref, E_min=self.energy.E_min)
@@ -311,7 +318,14 @@ def _shed_law(policy: LoadPolicy, config: ScenarioConfig):
     E_target = policy.E_target
     integ = config.integrator
     times = TimeGrid(integ.t_start, integ.dt, integ.n_steps() + 1).times()
-    inflow = SolarEnergyTable(config.solar).between(times, times + policy.horizon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inflow = SolarEnergyTable(config.solar).between(times, times + policy.horizon)
+    # inf - inf would make the forecast NaN, which never sheds
+    if not (math.isfinite(spent) and np.isfinite(inflow).all()):
+        raise ConfigurationError(
+            "the energy forecast over [policy.anticipatory] horizon_s = "
+            f"{policy.horizon} is not finite; lower it, P0_W or [solar] P_peak_W"
+        )
 
     def forecast_short(k, E, _prev):
         return E + inflow[k] - spent < E_target
@@ -327,14 +341,14 @@ def _load_floor(policy: LoadPolicy) -> float:
 
 
 def _rhs_law(policy: LoadPolicy, E_max: float) -> Callable[..., float]:
-    """RK4 right-hand side (t, E, u, shed) -> dE/dt for one policy.
+    """RK4 right-hand side (E, u, shed) -> dE/dt for one policy.
 
     u is the sampled input P_in*d; the load law is inlined, so a substep
     costs one call. Net inflow is zeroed at the saturated bounds.
     """
     P0, floor = policy.P0, _load_floor(policy)
     if not isinstance(policy, AnticipatoryPolicy):
-        def rhs(_t: float, E: float, u: float, shed: bool) -> float:
+        def rhs(E: float, u: float, shed: bool) -> float:
             net = u - (floor if shed else P0)
             if (E >= E_max and net > 0.0) or (E <= 0.0 and net < 0.0):
                 return 0.0
@@ -343,7 +357,7 @@ def _rhs_law(policy: LoadPolicy, E_max: float) -> Callable[..., float]:
         return rhs
     gain, E_target = policy.gain, policy.E_target
 
-    def rhs_anticipatory(_t: float, E: float, u: float, shed: bool) -> float:
+    def rhs_anticipatory(E: float, u: float, shed: bool) -> float:
         # min/max spelled as comparisons: same values, half the call cost
         short = E_target - E
         load = (floor if shed else P0) - gain * (short if short > 0.0 else 0.0)
@@ -362,7 +376,9 @@ def _load_series(policy: LoadPolicy, E: np.ndarray, shed: np.ndarray) -> np.ndar
     base = np.where(shed, floor, P0)
     if not isinstance(policy, AnticipatoryPolicy):
         return base
-    raw = base - policy.gain * np.maximum(0.0, policy.E_target - E)
+    # a huge gain overflows to -inf, which clips to the floor as in the law
+    with np.errstate(over="ignore"):
+        raw = base - policy.gain * np.maximum(0.0, policy.E_target - E)
     return np.clip(raw, floor, P0)
 
 
@@ -408,7 +424,7 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
 
     return DynamicalSystem(
         rhs=_rhs_law(policy, E_max),
-        output_map=lambda _t, E: risk_of_energy(E, rmap),
+        output_map=lambda E: risk_of_energy(E, rmap),
         mode_update=_shed_law(policy, config),
         mode_init=False,
         project=project,

@@ -341,13 +341,22 @@ class TestSweep:
     def test_non_finite_range_rejected(self, tmp_path, capsys, spec):
         with pytest.raises(RisktrajError, match="finite start and stop"):
             _parse_range(spec)
-        # "--range=" keeps argparse from reading "-inf:0:2" as an option
-        code = main(["sweep", "--param", "solar.P_peak_W", f"--range={spec}",
+        code = main(["sweep", "--param", "solar.P_peak_W", "--range", spec,
                      "--out", str(tmp_path / "s.csv")])
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: range {spec!r} must have a finite start and stop\n")
         assert not (tmp_path / "s.csv").exists()
+
+    def test_negative_start_after_a_space(self, tmp_path):
+        # argparse alone reads "-1:1:3" after a space as an option
+        outs = [tmp_path / "spaced.csv", tmp_path / "joined.csv"]
+        for out, spec in zip(outs, (["--range", "-1:1:3"], ["--range=-1:1:3"])):
+            assert main(["sweep", "--param", "policy.anticipatory.E_target_J", *spec,
+                         "--out", str(out), *COARSE_SWEEP]) == 0
+        lines = outs[0].read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["-1", "0", "1"]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_count_at_limit_accepted(self, monkeypatch):
         # linspace is stubbed so the limit is checked without allocating
@@ -359,6 +368,34 @@ class TestSweep:
                      "--range", "0:1:2", "--out", str(tmp_path / "s.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+class TestExtremeConfigs:
+    """Configs that parse but push the numerics to overflow, run silently."""
+
+    COARSE = ["simulate", "--case", "anticipatory", "--set", "integrator.dt_s=0.5"]
+
+    @pytest.mark.parametrize("override, key", [
+        # P0*horizon and the forecast inflow overflow; inf - inf never sheds
+        ("policy.anticipatory.horizon_s=1e308", "[policy.anticipatory] horizon_s"),
+        # 2*pi*t/period overflows, so the input would be NaN
+        ("solar.period_s=1e-320", "[solar] period_s"),
+    ])
+    def test_rejected_naming_the_key(self, tmp_path, capsys, override, key):
+        code = main([*self.COARSE, "--out", str(tmp_path), "--set", override])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    def test_huge_gain_clips_the_recorded_load(self, tmp_path):
+        code = main([*self.COARSE, "--out", str(tmp_path),
+                     "--set", "policy.anticipatory.gain_W_per_J=1e308"])
+        assert code == 0
+        table = read_trajectory(tmp_path / "anticipatory_trajectory.csv")
+        short = table.signals["E"] < 48.0
+        assert short.any()
+        assert np.all(table.signals["P_load"][short] == 2.75 * 0.5)
 
 
 class TestEmitPlot:

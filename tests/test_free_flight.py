@@ -106,7 +106,7 @@ def test_array_work_linear_when_held_on_a_bound(name):
 def _ramp(forcing, project=None):
     """dx/dt = u - 1 with free flight on (-10, 10) and no mode."""
     return DynamicalSystem(
-        rhs=lambda _t, _x, u: u - 1.0,
+        rhs=lambda _x, u: u - 1.0,
         forcing=forcing,
         project=project,
         disturbance_neutral=1.0,

@@ -150,10 +150,10 @@ def reference_case(case_id, config):
 
 
 def _edge_time(draw, t_start, dt, lo, hi):
-    """A time on the grid, on a half step, or between, at a step in [lo, hi]."""
+    """(k, t): a time on the grid, on a half step, or between, at a step k in [lo, hi]."""
     k = draw(st.integers(lo, hi))
     grid_t = t_start + k * dt
-    return draw(st.sampled_from([
+    return k, draw(st.sampled_from([
         grid_t, grid_t + 0.5 * dt, grid_t + draw(st.floats(0.0, 1.0)) * dt]))
 
 
@@ -166,12 +166,15 @@ def windows(draw):
     t_start = draw(st.sampled_from([0.0, -3.0]) | st.floats(-100.0, 100.0))
     if draw(st.integers(0, 4)) == 0:
         return t_start, dt, n_steps, DisturbanceSignal()
-    onset = _edge_time(draw, t_start, dt, 0, n_steps - 3)
-    offset = _edge_time(draw, t_start, dt, math.floor((onset - t_start) / dt) + 1,
-                        n_steps - 2)
+    # The offset's step follows the onset's, so its range is never empty.
+    # An onset a whole step past its grid time may round past an offset
+    # on the next grid time; that pulse has no length.
+    k, onset = _edge_time(draw, t_start, dt, 0, n_steps - 3)
+    _, offset = _edge_time(draw, t_start, dt, k + 1, n_steps - 2)
     magnitude = draw(st.sampled_from([0.0, 0.15, 1.0]) | st.floats(0.0, 1.0))
     return t_start, dt, n_steps, DisturbanceSignal(
-        kind="pulse", onset=onset, duration=offset - onset, magnitude=magnitude)
+        kind="pulse", onset=onset, duration=max(offset - onset, 0.0),
+        magnitude=magnitude)
 
 
 @st.composite
@@ -231,14 +234,14 @@ def test_forcing_and_divergence_match_per_step_reference(window, blowup, neutral
     def forcing(times, d):
         return (0.5 + d) * (1.0 + 1e-3 * (times - t_start))
 
-    def rhs(_t, x, u, mode):
+    def rhs(x, u, mode):
         return (u if mode else 0.5 * u) * x * x
 
     def mode_update(_t, x, _mode):
         return x > 2.0 * x0
 
     def reference_rhs(t, x, d, mode):
-        return rhs(t, x, (0.5 + d) * (1.0 + 1e-3 * (t - t_start)), mode)
+        return rhs(x, (0.5 + d) * (1.0 + 1e-3 * (t - t_start)), mode)
 
     config = IntegratorConfig(dt=dt, t_start=t_start, t_end=t_start + n_steps * dt)
     system = DynamicalSystem(rhs=rhs, mode_update=mode_update, mode_init=False,

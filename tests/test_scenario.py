@@ -248,7 +248,7 @@ class TestRunCase:
             for k in range(1, len(t), 211):
                 shed = system.mode_update(k, E[k], result.shed[k - 1])
                 assert shed == result.shed[k]
-                assert -system.rhs(t[k], E[k], 0.0, shed) == loads[k]
+                assert -system.rhs(E[k], 0.0, shed) == loads[k]
 
     def test_hysteresis_no_chattering(self, default_comparison):
         result = default_comparison.cases["reactive"]
