@@ -9,6 +9,11 @@ Writers never embed timestamps; identical inputs give identical bytes.
 When a trajectory CSV is read, each cell accepts what Python `float`
 accepts (surrounding whitespace included), blank lines are skipped, and
 a bad row is reported by its line number in the file.
+
+When one is written on POSIX, the rows of a long table are formatted on
+up to the usable CPUs by forked workers, in contiguous parts of at least
+8,192 rows; without `os.fork`, on one usable CPU or for a shorter table,
+one process formats them. The bytes are identical either way.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import configparser
 import hashlib
 import io
 import math
+import os
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -110,25 +116,91 @@ class TrajectoryTable:
 
 
 _BLOCK_ROWS = 4096  # rows formatted per `%` operation; bounds peak memory
+# Fewest rows worth a forked worker: one fork and wait costs about what
+# formatting 1,800 rows does.
+_MIN_PART_ROWS = 8192
 
 
-def _table_chunks(table: TrajectoryTable):
-    """CSV text of `table`: the header line, then blocks of formatted rows."""
-    yield ",".join(table.column_names) + "\n"
-    columns = [table.t, *table.signals.values()]
+def _format_rows(columns, start: int, stop: int):
+    """CSV text of rows [start, stop) of `columns`, in blocks of formatted rows."""
     row = ",".join([NUMBER_FORMAT] * len(columns)) + "\n"
-    for start in range(0, len(table.t), _BLOCK_ROWS):
-        block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
+    for lo in range(start, stop, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, stop)
+        block = np.column_stack([col[lo:hi] for col in columns])
         yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def table_to_text(table: TrajectoryTable) -> str:
-    return "".join(_table_chunks(table))
+    columns = [table.t, *table.signals.values()]
+    header = ",".join(table.column_names) + "\n"
+    return header + "".join(_format_rows(columns, 0, len(table.t)))
+
+
+def _part_bounds(n_rows: int) -> list[int]:
+    """Row bounds of the contiguous parts a table is formatted in: one per
+    usable CPU, each of at least _MIN_PART_ROWS rows; one part without fork."""
+    if not hasattr(os, "fork"):
+        return [0, n_rows]
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    parts = max(1, min(cpus, n_rows // _MIN_PART_ROWS))
+    return [n_rows * i // parts for i in range(parts + 1)]
+
+
+def _fork_rows(columns, start: int, stop: int):
+    """Fork a worker that formats rows [start, stop) and writes the text to a
+    pipe; the worker's pid and the read end of its pipe."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the worker: leave only through os._exit
+        status = 1
+        try:
+            os.close(read_fd)
+            text = "".join(_format_rows(columns, start, stop))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(text.encode("ascii"))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 def write_trajectory(table: TrajectoryTable, destination) -> None:
+    """Write `table` as CSV. Rows are formatted in parts (`_part_bounds`):
+    forked workers format all but the first, which this process formats
+    while they run; the bytes equal `table_to_text(table)` either way.
+    Every worker is reaped before this returns or raises; one that fails
+    raises OSError naming `destination`."""
+    columns = [table.t, *table.signals.values()]
+    bounds = _part_bounds(len(table.t))
     with open(destination, "w", newline="\n") as fh:
-        fh.writelines(_table_chunks(table))
+        workers = []  # (pid, pipe) of each forked part, in row order
+        try:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                workers.append(_fork_rows(columns, start, stop))
+            fh.write(",".join(table.column_names) + "\n")
+            fh.writelines(_format_rows(columns, 0, bounds[1]))
+            for _, pipe in workers:
+                fh.write(pipe.read().decode("ascii"))
+        finally:
+            # Close every pipe before any wait: a later worker holds the read
+            # ends of earlier pipes, so a writer blocks until all are closed.
+            for _, pipe in workers:
+                pipe.close()
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                     for pid, _ in workers]
+    failed = [code for code in codes if code != 0]
+    if failed:
+        raise OSError(f"{destination}: a worker formatting rows exited with code "
+                      f"{failed[0]}")
 
 
 # Line breaks that str.splitlines() honours but numpy's reader does not (it

@@ -1,6 +1,8 @@
 import configparser
 import dataclasses
 import math
+import os
+import signal
 import warnings
 from importlib import resources
 
@@ -9,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from risktraj import io_formats
+from risktraj.cli import main
 from risktraj.dynamics import DisturbanceSignal, IntegratorConfig
 from risktraj.errors import ParameterError, RisktrajError, TableParseError
 from risktraj.io_formats import (
@@ -368,6 +372,147 @@ class TestWriterMatchesPerCellFormat:
         path = tmp_path / "table.csv"
         write_trajectory(table, path)
         assert path.read_bytes() == text.encode()
+
+
+def _signal_table(n_rows: int, n_signals: int) -> TrajectoryTable:
+    return TrajectoryTable(
+        t=0.005 * np.arange(n_rows) + 27.0,
+        signals={f"s{j}": _wide_values(n_rows, 7 * j + n_rows)
+                 for j in range(n_signals)},
+    )
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that os.fork returns to this process from now on."""
+    pids, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a write that hangs, such as one waiting on a blocked worker."""
+    def expire(signum, frame):
+        raise TimeoutError("write_trajectory did not return within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _fail_past_row_zero(monkeypatch):
+    """Make the row formatter raise for every part but the first."""
+    format_rows = io_formats._format_rows
+
+    def failing(columns, start, stop):
+        if start != 0:
+            raise RuntimeError("worker part failed")
+        return format_rows(columns, start, stop)
+
+    monkeypatch.setattr(io_formats, "_format_rows", failing)
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestWriterInParts:
+    @pytest.mark.parametrize("n_signals", [1, 4])
+    @pytest.mark.parametrize("n_rows, workers", [(8191, 0), (8192, 0), (8193, 0),
+                                                 (16384, 1), (28801, 2)])
+    def test_file_bytes_equal_table_text(self, tmp_path, four_cpus, forks, n_rows,
+                                         n_signals, workers):
+        table = _signal_table(n_rows, n_signals)
+        path = tmp_path / "table.csv"
+        write_trajectory(table, path)
+        assert path.read_bytes() == table_to_text(table).encode()
+        assert len(forks) == workers
+        _assert_no_child_left()
+
+    def test_one_usable_cpu_forks_nothing(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        table = _signal_table(28801, 4)
+        write_trajectory(table, tmp_path / "table.csv")
+        assert (tmp_path / "table.csv").read_bytes() == table_to_text(table).encode()
+        assert forks == []
+        _assert_no_child_left()
+
+    def test_cpu_count_without_affinity(self, tmp_path, monkeypatch, forks):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        table = _signal_table(28801, 1)
+        write_trajectory(table, tmp_path / "table.csv")
+        assert (tmp_path / "table.csv").read_bytes() == table_to_text(table).encode()
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_without_fork_writes_in_one_process(self, tmp_path, four_cpus, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        table = _signal_table(28801, 4)
+        write_trajectory(table, tmp_path / "table.csv")
+        assert (tmp_path / "table.csv").read_bytes() == table_to_text(table).encode()
+        _assert_no_child_left()
+
+    def test_unopenable_destination_fails_before_any_fork(self, tmp_path, four_cpus,
+                                                          forks):
+        with pytest.raises(FileNotFoundError):
+            write_trajectory(_signal_table(28801, 1), tmp_path / "missing" / "t.csv")
+        assert forks == []
+
+    def test_failing_worker_raises_oserror(self, tmp_path, four_cpus, forks,
+                                           monkeypatch):
+        _fail_past_row_zero(monkeypatch)
+        path = tmp_path / "table.csv"
+        with pytest.raises(OSError, match="table.csv"):
+            write_trajectory(_signal_table(28801, 4), path)
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_failing_first_part_reaps_the_workers(self, tmp_path, four_cpus, forks,
+                                                  monkeypatch):
+        format_rows = io_formats._format_rows
+
+        def failing(columns, start, stop):
+            if start == 0:
+                raise RuntimeError("first part failed")
+            return format_rows(columns, start, stop)
+
+        monkeypatch.setattr(io_formats, "_format_rows", failing)
+        with pytest.raises(RuntimeError, match="first part failed"):
+            write_trajectory(_signal_table(28801, 4), tmp_path / "table.csv")
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_failing_worker_is_a_cli_error(self, tmp_path, four_cpus, forks, monkeypatch,
+                                           capsys):
+        _fail_past_row_zero(monkeypatch)
+        code = main(["simulate", "--case", "passive", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "passive_trajectory.csv" in err
+        assert err.count("\n") == 1
+        assert forks
+        _assert_no_child_left()
 
 
 def sample_document(**overrides):
