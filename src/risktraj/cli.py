@@ -13,13 +13,15 @@ import configparser
 import hashlib
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import MAX_STEPS
 from .errors import RisktrajError
 from .io_formats import (
+    CASE_IDS,
+    DEFAULT_CONFIG_PATH,
     ReportDocument,
     TrajectoryTable,
     apply_overrides,
@@ -34,10 +36,17 @@ from .io_formats import (
     write_trajectory,
 )
 from .metrics import BASELINE_MODES, MetricsConfig, assemble_report
-from .scenario import CASE_IDS, DEFAULT_CONFIG_PATH, CaseResult, compare_cases, run_case
 from .svgplot import emit_plot
 
 _COMPARISON_SCHEMA = "risktraj.comparison.v1"
+
+
+def compare_cases(config, reuse=None):
+    """scenario.compare_cases. The simulator (scenario, dynamics) is imported
+    only by the commands that run it, so `analyze` starts without it."""
+    from .scenario import compare_cases
+
+    return compare_cases(config, reuse)
 
 
 def _load_parser(config_arg: str, overrides=()) -> configparser.ConfigParser:
@@ -50,7 +59,7 @@ def _resolve_config(args):
     return parser_to_config(_load_parser(args.config, args.set or []))
 
 
-def _case_table(result: CaseResult) -> TrajectoryTable:
+def _case_table(result) -> TrajectoryTable:
     return TrajectoryTable(
         t=result.energy.times(),
         signals={
@@ -70,6 +79,8 @@ def _disturbance_window(config) -> tuple[float, float] | None:
 
 
 def _cmd_simulate(args) -> int:
+    from .scenario import run_case
+
     config = _resolve_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -173,6 +184,8 @@ def _cmd_compare(args) -> int:
 def _parse_range(spec: str) -> np.ndarray:
     """Sweep values of start:stop:count. Each value runs at least one step
     per case, so the count is held to the step limit MAX_STEPS."""
+    from .dynamics import MAX_STEPS
+
     parts = spec.split(":")
     if len(parts) != 3:
         raise RisktrajError(f"range {spec!r} is not of the form start:stop:count")
@@ -306,13 +319,15 @@ def main(argv=None) -> int:
             argv[i - 1:i + 1] = [f"--range={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except RisktrajError as exc:
+        with warnings.catch_warnings(record=True) as caught:
+            code = args.func(args)
+    except (RisktrajError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # one line per distinct warning, such as integrate's coarse-step advisory
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

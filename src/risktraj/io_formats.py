@@ -10,38 +10,35 @@ When a trajectory CSV is read, each cell accepts what Python `float`
 accepts (surrounding whitespace included), blank lines are skipped, and
 a bad row is reported by its line number in the file.
 
-When one is written on POSIX, the rows of a long table are formatted on
-up to the usable CPUs by forked workers, in contiguous parts of at least
-8,192 rows; without `os.fork`, on one usable CPU or for a shorter table,
-one process formats them. The bytes are identical either way.
+When one is written or read on POSIX, the rows of a long table are
+formatted or parsed on up to the usable CPUs by forked workers, in
+contiguous parts of at least 8,192 rows; without `os.fork`, on one usable
+CPU or for a shorter table, one process does it. The bytes written and
+the table read are identical either way.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import importlib
 import io
+import itertools
 import math
 import os
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from .dynamics import DisturbanceSignal, IntegratorConfig
 from .errors import ParameterError, TableParseError
-from .metrics import MetricsConfig, ResilienceReport
-from .scenario import (
-    AnticipatoryPolicy,
-    EnergyParams,
-    PassivePolicy,
-    ReactivePolicy,
-    ScenarioConfig,
-    SolarProfile,
-)
+from .metrics import ResilienceReport
 from .trajectory import TimeGrid, Trajectory
+
+if TYPE_CHECKING:
+    from .scenario import ScenarioConfig
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -117,7 +114,7 @@ class TrajectoryTable:
 
 _BLOCK_ROWS = 4096  # rows formatted per `%` operation; bounds peak memory
 # Fewest rows worth a forked worker: one fork and wait costs about what
-# formatting 1,800 rows does.
+# formatting 1,800 rows, or parsing 2,000 to 3,600, does.
 _MIN_PART_ROWS = 8192
 
 
@@ -136,22 +133,22 @@ def table_to_text(table: TrajectoryTable) -> str:
     return header + "".join(_format_rows(columns, 0, len(table.t)))
 
 
-def _part_bounds(n_rows: int) -> list[int]:
-    """Row bounds of the contiguous parts a table is formatted in: one per
-    usable CPU, each of at least _MIN_PART_ROWS rows; one part without fork."""
+def _part_count(n_rows: int) -> int:
+    """Contiguous parts a table of n_rows rows is written or read in: one per
+    usable CPU, each of at least _MIN_PART_ROWS rows; one without fork."""
     if not hasattr(os, "fork"):
-        return [0, n_rows]
+        return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    parts = max(1, min(cpus, n_rows // _MIN_PART_ROWS))
-    return [n_rows * i // parts for i in range(parts + 1)]
+    return max(1, min(cpus, n_rows // _MIN_PART_ROWS))
 
 
-def _fork_rows(columns, start: int, stop: int):
-    """Fork a worker that formats rows [start, stop) and writes the text to a
-    pipe; the worker's pid and the read end of its pipe."""
+def _fork(work: Callable, *args):
+    """Fork a worker that writes the bytes-like work(*args) to a pipe; the
+    worker's pid and the read end of its pipe. The worker exits with code 0
+    once all is written, with 1 if anything fails."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -163,9 +160,8 @@ def _fork_rows(columns, start: int, stop: int):
         status = 1
         try:
             os.close(read_fd)
-            text = "".join(_format_rows(columns, start, stop))
             with open(write_fd, "wb") as pipe:
-                pipe.write(text.encode("ascii"))
+                pipe.write(work(*args))
             status = 0
         finally:
             os._exit(status)
@@ -173,30 +169,40 @@ def _fork_rows(columns, start: int, stop: int):
     return pid, open(read_fd, "rb")
 
 
+def _reap(workers) -> list[int]:
+    """Close the pipe of each (pid, pipe) in workers, then wait for each;
+    their exit codes. Every pipe is closed before any wait: a later worker
+    holds the read ends of earlier pipes, so a writer blocks until all are."""
+    for _, pipe in workers:
+        pipe.close()
+    return [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
+
+
+def _rows_bytes(columns, start: int, stop: int) -> bytes:
+    return "".join(_format_rows(columns, start, stop)).encode("ascii")
+
+
 def write_trajectory(table: TrajectoryTable, destination) -> None:
-    """Write `table` as CSV. Rows are formatted in parts (`_part_bounds`):
+    """Write `table` as CSV. Rows are formatted in parts (`_part_count`):
     forked workers format all but the first, which this process formats
     while they run; the bytes equal `table_to_text(table)` either way.
     Every worker is reaped before this returns or raises; one that fails
     raises OSError naming `destination`."""
     columns = [table.t, *table.signals.values()]
-    bounds = _part_bounds(len(table.t))
+    n_rows = len(table.t)
+    parts = _part_count(n_rows)
+    bounds = [n_rows * i // parts for i in range(parts + 1)]
     with open(destination, "w", newline="\n") as fh:
         workers = []  # (pid, pipe) of each forked part, in row order
         try:
             for start, stop in zip(bounds[1:-1], bounds[2:]):
-                workers.append(_fork_rows(columns, start, stop))
+                workers.append(_fork(_rows_bytes, columns, start, stop))
             fh.write(",".join(table.column_names) + "\n")
             fh.writelines(_format_rows(columns, 0, bounds[1]))
             for _, pipe in workers:
                 fh.write(pipe.read().decode("ascii"))
         finally:
-            # Close every pipe before any wait: a later worker holds the read
-            # ends of earlier pipes, so a writer blocks until all are closed.
-            for _, pipe in workers:
-                pipe.close()
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                     for pid, _ in workers]
+            codes = _reap(workers)
     failed = [code for code in codes if code != 0]
     if failed:
         raise OSError(f"{destination}: a worker formatting rows exited with code "
@@ -210,8 +216,50 @@ _SPLITLINES_ONLY_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                            "\u2028", "\u2029")
 
 
+def _parse_part(raw: bytes, start: int, stop: int, n_columns: int) -> np.ndarray:
+    """The rows of raw[start:stop], a run of whole lines; the header line is
+    skipped when start is 0. ValueError unless each row has n_columns cells."""
+    lines = io.BytesIO(raw)  # shares raw: the part is not copied
+    lines.seek(start)
+    if stop < len(raw):
+        lines = itertools.islice(lines, raw.count(b"\n", start, stop))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on a part with no rows
+        data = np.loadtxt(lines, delimiter=",", skiprows=1 if start == 0 else 0,
+                          ndmin=2, comments=None, encoding="utf-8")
+    if data.shape[1] != n_columns:
+        raise ValueError(f"rows of {data.shape[1]} cells, expected {n_columns}")
+    return data
+
+
+def _parse_parts(raw: bytes, n_columns: int) -> list[np.ndarray] | None:
+    """The rows of raw below its header, parsed in parts (`_part_count`) cut
+    at line ends: forked workers parse all but the last, which this process
+    parses while they run. None if any part fails or a worker cannot be
+    forked. Every worker is reaped before this returns or raises."""
+    body = raw.find(b"\n") + 1
+    if body == 0:
+        return None  # a header and no rows
+    parts = _part_count(raw.count(b"\n", body))
+    cuts = (raw.find(b"\n", body + (len(raw) - body) * i // parts) + 1
+            for i in range(1, parts))
+    bounds = sorted({0, *(cut for cut in cuts if cut), len(raw)})
+    workers = []  # (pid, pipe) of each forked part, in order
+    try:
+        for start, stop in zip(bounds[:-2], bounds[1:-1]):
+            workers.append(_fork(_parse_part, raw, start, stop, n_columns))
+        last = _parse_part(raw, bounds[-2], bounds[-1], n_columns)
+        rows = [np.frombuffer(pipe.read()).reshape(-1, n_columns)
+                for _, pipe in workers]
+    except (ValueError, OSError):
+        return None
+    finally:
+        codes = _reap(workers)
+    return None if any(codes) else [*rows, last]
+
+
 def _load_rows(text: str, n_columns: int) -> np.ndarray | None:
-    """Parse the body below the header in one C-level pass.
+    """Parse the body below the header in C-level passes, in parts.
 
     Returns the rows only when they are certain to equal what `_scan_rows`
     gives and pass every check of `table_from_text`; otherwise None, and
@@ -223,15 +271,13 @@ def _load_rows(text: str, n_columns: int) -> np.ndarray | None:
         raw = text.encode("utf-8")
     except UnicodeEncodeError:  # lone surrogates
         return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # loadtxt warns on a body with no rows
-        try:
-            data = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1, ndmin=2,
-                              comments=None, encoding="utf-8")
-        except ValueError:
-            return None
-    if (data.shape[1] != n_columns or len(data) < 2
-            or not np.isfinite(data).all() or not (np.diff(data[:, 0]) > 0).all()):
+    parts = _parse_parts(raw, n_columns)
+    del raw  # freed before the parts are joined
+    if parts is None:
+        return None
+    data = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if (len(data) < 2 or not np.isfinite(data).all()
+            or not (np.diff(data[:, 0]) > 0).all()):
         return None
     return data
 
@@ -473,49 +519,54 @@ def read_report(source) -> ReportDocument:
 # ---------------------------------------------------------------------------
 # scenario configuration files
 
-_POLICY = "policy."  # a [policy.<case>] section builds config.policies[<case>]
+# The structural cases; a [policy.<case>] section builds config.policies[<case>].
+CASE_IDS = ("passive", "reactive", "anticipatory")
+DEFAULT_CONFIG_PATH = Path(__file__).parent / "data" / "default_scenario.ini"
+_POLICY = "policy."
 
-# section -> (dataclass it builds, its (key, attribute, kind) in file order)
+# section -> (name of the dataclass it builds, its (key, attribute, kind) in
+# file order). The classes are exported by the package and looked up when a
+# config is built, so reading a trajectory never loads the simulator.
 _CONFIG_SECTIONS = {
-    "energy": (EnergyParams, (
+    "energy": ("EnergyParams", (
         ("E_max_J", "E_max", _NUMBER),
         ("E_min_J", "E_min", _NUMBER),
         ("E_init_J", "E_init", _NUMBER),
         ("E_ref_J", "E_ref", _NUMBER),
     )),
-    "solar": (SolarProfile, (
+    "solar": ("SolarProfile", (
         ("P_peak_W", "P_peak", _NUMBER),
         ("period_s", "period", _NUMBER),
         ("shape_exponent", "shape_exponent", _NUMBER),
     )),
-    "disturbance": (DisturbanceSignal, (
+    "disturbance": ("DisturbanceSignal", (
         ("kind", "kind", _WORD),
         ("onset_s", "onset", _NUMBER),
         ("duration_s", "duration", _NUMBER),
         ("magnitude", "magnitude", _NUMBER),
     )),
-    "policy.passive": (PassivePolicy, (
+    "policy.passive": ("PassivePolicy", (
         ("P0_W", "P0", _NUMBER),
     )),
-    "policy.reactive": (ReactivePolicy, (
+    "policy.reactive": ("ReactivePolicy", (
         ("P0_W", "P0", _NUMBER),
         ("E_on_J", "E_on", _NUMBER),
         ("E_off_J", "E_off", _NUMBER),
         ("shed_fraction", "shed_fraction", _NUMBER),
     )),
-    "policy.anticipatory": (AnticipatoryPolicy, (
+    "policy.anticipatory": ("AnticipatoryPolicy", (
         ("P0_W", "P0", _NUMBER),
         ("horizon_s", "horizon", _NUMBER),
         ("E_target_J", "E_target", _NUMBER),
         ("shed_fraction", "shed_fraction", _NUMBER),
         ("gain_W_per_J", "gain", _NUMBER),
     )),
-    "integrator": (IntegratorConfig, (
+    "integrator": ("IntegratorConfig", (
         ("dt_s", "dt", _NUMBER),
         ("t_start_s", "t_start", _NUMBER),
         ("t_end_s", "t_end", _NUMBER),
     )),
-    "metrics": (MetricsConfig, (
+    "metrics": ("MetricsConfig", (
         ("baseline_mode", "baseline_mode", _WORD),
         ("tail_fraction", "tail_fraction", _NUMBER),
         ("fit_floor_ratio", "fit_floor_ratio", _NUMBER),
@@ -532,6 +583,11 @@ _CONFIG_OPTIONAL = {
     ("metrics", "baseline_mode"): "zero",
     ("metrics", "horizon_s"): "end",
 }
+
+
+def _exported(name: str):
+    """The package's export `name`, importing its module on first use."""
+    return getattr(importlib.import_module(__package__), name)
 
 
 def _config_parser() -> configparser.ConfigParser:
@@ -576,8 +632,9 @@ def parser_to_config(parser: configparser.ConfigParser) -> ScenarioConfig:
         if section not in parser and not section.startswith(_POLICY):
             raise TableParseError(f"missing config section [{section}]")
     parts, policies = {}, {}
-    for section, (build, keys) in _CONFIG_SECTIONS.items():
+    for section, (class_name, keys) in _CONFIG_SECTIONS.items():
         if section in parser:
+            build = _exported(class_name)
             part = build(**{attr: _config_value(parser, section, key, kind)
                             for key, attr, kind in keys})
             if section.startswith(_POLICY):
@@ -586,7 +643,7 @@ def parser_to_config(parser: configparser.ConfigParser) -> ScenarioConfig:
                 parts[section] = part
     if not policies:
         raise TableParseError("config defines no [policy.*] section")
-    return ScenarioConfig(policies=policies, **parts)
+    return _exported("ScenarioConfig")(policies=policies, **parts)
 
 
 def config_to_text(config: ScenarioConfig) -> str:

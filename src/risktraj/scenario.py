@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from pathlib import Path
 from typing import Callable, Mapping, Union
 
 import numpy as np
@@ -26,11 +25,9 @@ from .dynamics import (
     integrate,
 )
 from .errors import ConfigurationError, ParameterError
+from .io_formats import CASE_IDS, DEFAULT_CONFIG_PATH, read_scenario_config
 from .metrics import MetricsConfig, ResilienceReport, assemble_report
 from .trajectory import TimeGrid, Trajectory
-
-CASE_IDS = ("passive", "reactive", "anticipatory")
-DEFAULT_CONFIG_PATH = Path(__file__).parent / "data" / "default_scenario.ini"
 
 
 @dataclass(frozen=True)
@@ -545,6 +542,4 @@ def default_config() -> ScenarioConfig:
     and every case recovers to the calm operating cycle well before the
     steady-state tail window.
     """
-    from .io_formats import read_scenario_config  # io_formats imports this module
-
     return read_scenario_config(DEFAULT_CONFIG_PATH)

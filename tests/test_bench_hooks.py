@@ -46,3 +46,19 @@ def test_traced_compare_has_every_counter(tmp_path):
     assert totals["steps"] == 3 * 288
     for counter in ("shed_switches", "clamp_samples"):
         assert counter in totals
+
+
+def test_traced_analyze_counts_the_rows_read(tmp_path):
+    csv = tmp_path / "r.csv"
+    csv.write_text("t,r\n" + "".join(f"{k},{0.5 ** k!r}\n" for k in range(40)))
+    recorder = load_spans().SpanRecorder()
+    recorder.install()
+    try:
+        code = main(["analyze", str(csv), "--out", str(tmp_path / "report.txt")])
+    finally:
+        recorder.remove()
+    assert code == 0
+    assert recorder.absent == []
+    totals = recorder.totals()
+    assert totals["io_formats.read_trajectory"]["rows"] == 40
+    assert totals["metrics.assemble_report"]["samples"] == 40

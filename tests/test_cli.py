@@ -266,6 +266,14 @@ class TestCompare:
         svg = (out / "comparison.svg").read_text()
         assert svg.count("<polyline") == 6
 
+    def test_coarse_step_advisory_is_one_warning_line(self, tmp_path, capsys):
+        code = main(["compare", "--out", str(tmp_path), "--set", "integrator.dt_s=2"])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: pulse duration 12.0 is below 10*dt=20.0; "
+            "edge errors may dominate\n"
+        )
+
 
 class TestSweep:
     def test_single_point_matches_compare(self, tmp_path):

@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import io
 import math
 import os
 import signal
@@ -512,6 +513,155 @@ class TestWriterInParts:
         assert err.startswith("error: ") and "passive_trajectory.csv" in err
         assert err.count("\n") == 1
         assert forks
+        _assert_no_child_left()
+
+
+
+def _serial_rows(text: str) -> np.ndarray:
+    """The body parsed by one loadtxt call in this process."""
+    return np.loadtxt(io.BytesIO(text.encode()), delimiter=",", skiprows=1, ndmin=2,
+                      comments=None, encoding="utf-8")
+
+
+def _fixed_width_lines(n_rows: int) -> list[str]:
+    """Lines of a valid 3-column table, every row the same length."""
+    return ["t,r,E\n"] + [f"{k:06d},0.5,{k % 10}\n" for k in range(n_rows)]
+
+
+def _join_line(monkeypatch, lines: list[str]) -> int:
+    """Index in lines of the first line of the part this process parses."""
+    parse_part, starts = io_formats._parse_part, []
+
+    def spy(raw, start, stop, n_columns):
+        starts.append(start)
+        return parse_part(raw, start, stop, n_columns)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(io_formats, "_parse_part", spy)
+        io_formats._load_rows("".join(lines), 3)
+    offsets = np.cumsum([len(line) for line in lines]).tolist()
+    return offsets.index(starts[-1]) + 1
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestReaderInParts:
+    @pytest.mark.parametrize("n_columns", [2, 5])
+    @pytest.mark.parametrize("n_rows, workers", [(8191, 0), (8192, 0), (16383, 0),
+                                                 (16384, 1), (16385, 1), (57601, 3)])
+    def test_rows_bit_equal_one_process_parse(self, four_cpus, forks, n_rows,
+                                              n_columns, workers):
+        text = table_to_text(_signal_table(n_rows, n_columns - 1))
+        got = io_formats._load_rows(text, n_columns)
+        assert got.tobytes() == _serial_rows(text).tobytes()
+        assert got.shape == (n_rows, n_columns)
+        assert len(forks) == workers
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_usable_cpus_set_the_parts(self, monkeypatch, forks, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        text = table_to_text(_signal_table(57601, 1))
+        table = table_from_text(text)
+        assert table.t.tobytes() == _serial_rows(text)[:, 0].tobytes()
+        assert len(forks) == cpus - 1
+        _assert_no_child_left()
+
+    def test_without_fork_reads_in_one_process(self, four_cpus, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        text = table_to_text(_signal_table(57601, 4))
+        assert io_formats._load_rows(text, 5).tobytes() == _serial_rows(text).tobytes()
+
+    @pytest.mark.parametrize("defect", ["bad_cell", "ragged", "cell_more_after_join",
+                                        "t_repeats_at_join",
+                                        "t_falls_at_join", "blank_lines_at_join",
+                                        "crlf_after_join", "spaces_at_join"])
+    def test_defect_in_second_part_reads_as_the_line_scan_does(self, monkeypatch,
+                                                              forks, defect):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        lines = _fixed_width_lines(20000)
+        join = _join_line(monkeypatch, lines)
+        if defect == "bad_cell":
+            lines[join + 100] = lines[join + 100].replace("0.5", "abc")
+        elif defect == "ragged":
+            lines[join + 100] = lines[join + 100].replace(",", "0", 1)
+        elif defect == "cell_more_after_join":
+            lines[join:] = [line.replace("0.5", "0,5") for line in lines[join:]]
+        elif defect == "t_repeats_at_join":
+            lines[join] = lines[join - 1]
+        elif defect == "t_falls_at_join":
+            lines[join] = lines[join - 2]
+        elif defect == "blank_lines_at_join":
+            lines[join:join] = ["\n", "\n"]
+        elif defect == "spaces_at_join":
+            lines[join:join] = [" \t \n"]
+        else:
+            lines[join:] = [line.replace("\n", "\r\n") for line in lines[join:]]
+        if defect != "crlf_after_join":  # each edit leaves the cut where it was
+            assert _join_line(monkeypatch, lines) == join
+        forks.clear()
+        text = "".join(lines)
+        got = _outcome(table_from_text, text)
+        want = _outcome(reference_table_from_text, text)
+        assert got[0] == want[0]
+        if want[0] == "error":
+            assert got == want
+            assert "line " in want[1]
+        else:
+            assert got[1].t.tobytes() == want[1].t.tobytes()
+            for name in want[1].signals:
+                assert got[1].signals[name].tobytes() == want[1].signals[name].tobytes()
+        # any "\r" sends the text to the line scan before it is cut in parts
+        assert len(forks) == (0 if defect == "crlf_after_join" else 1)
+        _assert_no_child_left()
+
+    def test_failing_worker_falls_back_to_the_line_scan(self, four_cpus, forks,
+                                                        monkeypatch):
+        parse_part = io_formats._parse_part
+
+        def failing(raw, start, stop, n_columns):
+            if stop != len(raw):  # every part but this process's
+                raise RuntimeError("worker part failed")
+            return parse_part(raw, start, stop, n_columns)
+
+        monkeypatch.setattr(io_formats, "_parse_part", failing)
+        text = table_to_text(_signal_table(28801, 4))
+        table = table_from_text(text)
+        assert len(forks) == 2
+        want = _serial_rows(text)
+        assert table.t.tobytes() == want[:, 0].tobytes()
+        assert table.signals["s3"].tobytes() == want[:, 4].tobytes()
+        _assert_no_child_left()
+
+    def test_fork_failure_falls_back_to_the_line_scan(self, four_cpus, forks,
+                                                       monkeypatch):
+        fork = os.fork
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError("no more processes")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        text = table_to_text(_signal_table(57601, 1))
+        table = table_from_text(text)
+        assert len(forks) == 1
+        assert table.t.tobytes() == _serial_rows(text)[:, 0].tobytes()
+        _assert_no_child_left()
+
+    def test_failing_parent_part_reaps_the_workers(self, four_cpus, forks,
+                                                   monkeypatch):
+        parse_part = io_formats._parse_part
+
+        def failing(raw, start, stop, n_columns):
+            if stop == len(raw):
+                raise RuntimeError("last part failed")
+            return parse_part(raw, start, stop, n_columns)
+
+        monkeypatch.setattr(io_formats, "_parse_part", failing)
+        with pytest.raises(RuntimeError, match="last part failed"):
+            table_from_text(table_to_text(_signal_table(28801, 1)))
+        assert len(forks) == 2
         _assert_no_child_left()
 
 
