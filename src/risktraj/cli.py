@@ -36,7 +36,6 @@ from .io_formats import (
     write_trajectory,
 )
 from .metrics import BASELINE_MODES, MetricsConfig, assemble_report
-from .svgplot import emit_plot
 
 _COMPARISON_SCHEMA = "risktraj.comparison.v1"
 
@@ -47,6 +46,14 @@ def compare_cases(config, reuse=None):
     from .scenario import compare_cases
 
     return compare_cases(config, reuse)
+
+
+def emit_plot(tables, destination, labels=None, disturbance_window=None):
+    """svgplot.emit_plot. The plotter is imported only by the commands that
+    draw, so `analyze` starts without it."""
+    from .svgplot import emit_plot
+
+    return emit_plot(tables, destination, labels, disturbance_window)
 
 
 def _load_parser(config_arg: str, overrides=()) -> configparser.ConfigParser:

@@ -1,7 +1,8 @@
 """The package loads a submodule only when one of its names is used.
 
 `analyze` reads and measures a trajectory; it must not load the simulator
-(`scenario`, `dynamics`). The exports of `risktraj` resolve on first use.
+(`scenario`, `dynamics`) or the plotter (`svgplot`). The exports of
+`risktraj` resolve on first use.
 """
 
 import json
@@ -43,6 +44,7 @@ def test_analyze_leaves_the_simulator_unloaded(tmp_path):
         assert "risktraj.io_formats" in loaded
         assert "risktraj.scenario" not in loaded
         assert "risktraj.dynamics" not in loaded
+        assert "risktraj.svgplot" not in loaded
 
 
 def test_every_export_resolves():
