@@ -10,11 +10,11 @@ When a trajectory CSV is read, each cell accepts what Python `float`
 accepts (surrounding whitespace included), blank lines are skipped, and
 a bad row is reported by its line number in the file.
 
-When one is written or read on POSIX, the rows of a long table are
-formatted or parsed on up to the usable CPUs by forked workers, in
+One process writes a trajectory CSV. When one is read on POSIX, the rows
+of a long table are parsed on up to the usable CPUs by forked workers, in
 contiguous parts of at least 8,192 rows; without `os.fork`, on one usable
-CPU or for a shorter table, one process does it. The bytes written and
-the table read are identical either way.
+CPU or for a shorter table, one process parses them. The table read is
+identical either way.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class TrajectoryTable:
 
 
 _BLOCK_ROWS = 4096  # rows formatted per block; bounds peak memory
-# Fewest rows worth a forked worker: one fork and wait costs about what
-# formatting 2,500 rows, or parsing 2,000 to 3,600, does.
+# Fewest rows worth a forked reader: one fork and wait costs about what
+# parsing 2,000 to 3,600 rows does.
 _MIN_PART_ROWS = 8192
 
 # The trajectory writer computes NUMBER_FORMAT's text in numpy. For a finite
@@ -235,15 +235,15 @@ def _format_cells(values: np.ndarray, words: np.ndarray) -> np.ndarray:
     return fallback
 
 
-def _format_rows(columns, start: int, stop: int):
-    """CSV text of rows [start, stop) of `columns`, in blocks of formatted rows."""
-    n_columns = len(columns)
+def _format_rows(columns):
+    """CSV text of the rows of `columns`, in blocks of formatted rows."""
+    n_rows, n_columns = len(columns[0]), len(columns)
     separators = np.array([ord(",")] * (n_columns - 1) + [ord("\n")], "<u8") << 56
-    buffer = bytearray(min(_BLOCK_ROWS, stop - start) * n_columns * _CELL_BYTES)
+    buffer = bytearray(min(_BLOCK_ROWS, n_rows) * n_columns * _CELL_BYTES)
     cells = np.frombuffer(buffer, "<u8").reshape(-1, n_columns, 5)
     cell_bytes = np.frombuffer(buffer, np.uint8).reshape(-1, _CELL_BYTES)
-    for lo in range(start, stop, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, stop)
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n_rows)
         fallback = np.column_stack([_format_cells(col[lo:hi], cells[:hi - lo, j])
                                     for j, col in enumerate(columns)])
         cells[:hi - lo, :, 4] |= separators
@@ -257,10 +257,21 @@ def _format_rows(columns, start: int, stop: int):
         yield text.decode("ascii")
 
 
+def _table_blocks(table: TrajectoryTable):
+    """CSV text of `table`: its header line, then blocks of formatted rows."""
+    yield ",".join(table.column_names) + "\n"
+    yield from _format_rows([table.t, *table.signals.values()])
+
+
 def table_to_text(table: TrajectoryTable) -> str:
-    columns = [table.t, *table.signals.values()]
-    header = ",".join(table.column_names) + "\n"
-    return header + "".join(_format_rows(columns, 0, len(table.t)))
+    return "".join(_table_blocks(table))
+
+
+def write_trajectory(table: TrajectoryTable, destination) -> None:
+    """Write `table` as CSV, a block of rows at a time; the bytes equal
+    `table_to_text(table)`."""
+    with open(destination, "w", newline="\n") as fh:
+        fh.writelines(_table_blocks(table))
 
 
 def _usable_cpus() -> int:
@@ -273,8 +284,8 @@ def _usable_cpus() -> int:
 
 
 def _part_count(n_rows: int) -> int:
-    """Contiguous parts a table of n_rows rows is written or read in: one per
-    usable CPU, each of at least _MIN_PART_ROWS rows; one without fork."""
+    """Contiguous parts a table of n_rows rows is read in: one per usable
+    CPU, each of at least _MIN_PART_ROWS rows; one without fork."""
     return max(1, min(_usable_cpus(), n_rows // _MIN_PART_ROWS))
 
 
@@ -305,41 +316,11 @@ def _fork(work: Callable, *args):
 def _reap(workers) -> list[int]:
     """Close the pipe of each (pid, pipe) in workers, then wait for each;
     their exit codes. Every pipe is closed before any wait: a later worker
-    holds the read ends of earlier pipes, so a writer blocks until all are."""
+    holds the read ends of earlier pipes, so a worker blocked writing its
+    pipe stays blocked until all are."""
     for _, pipe in workers:
         pipe.close()
     return [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
-
-
-def _rows_bytes(columns, start: int, stop: int) -> bytes:
-    return "".join(_format_rows(columns, start, stop)).encode("ascii")
-
-
-def write_trajectory(table: TrajectoryTable, destination) -> None:
-    """Write `table` as CSV. Rows are formatted in parts (`_part_count`):
-    forked workers format all but the first, which this process formats
-    while they run; the bytes equal `table_to_text(table)` either way.
-    Every worker is reaped before this returns or raises; one that fails
-    raises OSError naming `destination`."""
-    columns = [table.t, *table.signals.values()]
-    n_rows = len(table.t)
-    parts = _part_count(n_rows)
-    bounds = [n_rows * i // parts for i in range(parts + 1)]
-    with open(destination, "w", newline="\n") as fh:
-        workers = []  # (pid, pipe) of each forked part, in row order
-        try:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                workers.append(_fork(_rows_bytes, columns, start, stop))
-            fh.write(",".join(table.column_names) + "\n")
-            fh.writelines(_format_rows(columns, 0, bounds[1]))
-            for _, pipe in workers:
-                fh.write(pipe.read().decode("ascii"))
-        finally:
-            codes = _reap(workers)
-    failed = [code for code in codes if code != 0]
-    if failed:
-        raise OSError(f"{destination}: a worker formatting rows exited with code "
-                      f"{failed[0]}")
 
 
 # Line breaks that str.splitlines() honours but numpy's reader does not (it
