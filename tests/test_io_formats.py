@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from risktraj import io_formats
-from risktraj.cli import main
 from risktraj.dynamics import DisturbanceSignal, IntegratorConfig
 from risktraj.errors import ParameterError, RisktrajError, TableParseError
 from risktraj.io_formats import (
@@ -431,18 +430,15 @@ class TestWriterMatchesPerCellFormat:
         values = bits.view(np.float64)
         values = values[np.isfinite(values)]
         numbers = ["%.17g" % v for v in values.tolist()]
-        assert "".join(io_formats._format_rows([values], 0, len(values))) == (
+        assert "".join(io_formats._format_rows([values])) == (
             "\n".join(numbers) + "\n")
         _assert_numpy_writes_fixed_notation(values, numbers)
 
-    def test_one_process_write_peak_memory(self, tmp_path, monkeypatch,
-                                           default_comparison):
+    def test_one_process_write_peak_memory(self, tmp_path, default_comparison):
         """The shipped 28,801 x 5 table, written by one process, peaks below
         3.0 MB of allocations: the 1.25 MB the writer took when it formatted
         with `%`, plus 1.75 MB, well within the 4.4 MB (10 % of 44.4 MB) by
         which the benchmark lets compare's peak RSS grow."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         result = default_comparison.cases["passive"]
         table = TrajectoryTable(t=result.energy.times(), signals={
             "E": result.energy.values, "P_in": result.p_in.values,
@@ -495,9 +491,9 @@ def four_cpus(monkeypatch):
 
 @pytest.fixture
 def time_limit():
-    """Fail a write that hangs, such as one waiting on a blocked worker."""
+    """Fail a test that hangs, such as one waiting on a blocked worker."""
     def expire(signum, frame):
-        raise TimeoutError("write_trajectory did not return within 30 s")
+        raise TimeoutError("the test did not finish within 30 s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(30)
@@ -506,55 +502,22 @@ def time_limit():
     signal.signal(signal.SIGALRM, previous)
 
 
-def _fail_past_row_zero(monkeypatch):
-    """Make the row formatter raise for every part but the first."""
-    format_rows = io_formats._format_rows
-
-    def failing(columns, start, stop):
-        if start != 0:
-            raise RuntimeError("worker part failed")
-        return format_rows(columns, start, stop)
-
-    monkeypatch.setattr(io_formats, "_format_rows", failing)
-
-
 @pytest.mark.usefixtures("time_limit")
 class TestWriterInParts:
     @pytest.mark.parametrize("n_signals", [1, 4])
-    @pytest.mark.parametrize("n_rows, workers", [(8191, 0), (8192, 0), (8193, 0),
-                                                 (16384, 1), (28801, 2)])
+    @pytest.mark.parametrize("n_rows, read_workers", [(8191, 0), (8192, 0), (8193, 0),
+                                                      (16384, 1), (28801, 2)])
     def test_file_bytes_equal_table_text(self, tmp_path, four_cpus, forks, n_rows,
-                                         n_signals, workers):
+                                         n_signals, read_workers):
+        """One process writes the file; reading it back is what forks."""
         table = _signal_table(n_rows, n_signals)
+        text = table_to_text(table)
         path = tmp_path / "table.csv"
         write_trajectory(table, path)
-        assert path.read_bytes() == table_to_text(table).encode()
-        assert len(forks) == workers
-        _assert_no_child_left()
-
-    def test_one_usable_cpu_forks_nothing(self, tmp_path, monkeypatch, forks):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        table = _signal_table(28801, 4)
-        write_trajectory(table, tmp_path / "table.csv")
-        assert (tmp_path / "table.csv").read_bytes() == table_to_text(table).encode()
+        assert path.read_bytes() == text.encode()
         assert forks == []
-        _assert_no_child_left()
-
-    def test_cpu_count_without_affinity(self, tmp_path, monkeypatch, forks):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        table = _signal_table(28801, 1)
-        write_trajectory(table, tmp_path / "table.csv")
-        assert (tmp_path / "table.csv").read_bytes() == table_to_text(table).encode()
-        assert len(forks) == 2
-        _assert_no_child_left()
-
-    def test_without_fork_writes_in_one_process(self, tmp_path, four_cpus, monkeypatch):
-        monkeypatch.delattr(os, "fork")
-        table = _signal_table(28801, 4)
-        write_trajectory(table, tmp_path / "table.csv")
-        assert (tmp_path / "table.csv").read_bytes() == table_to_text(table).encode()
+        assert table_to_text(read_trajectory(path)) == text
+        assert len(forks) == read_workers
         _assert_no_child_left()
 
     def test_unopenable_destination_fails_before_any_fork(self, tmp_path, four_cpus,
@@ -562,42 +525,6 @@ class TestWriterInParts:
         with pytest.raises(FileNotFoundError):
             write_trajectory(_signal_table(28801, 1), tmp_path / "missing" / "t.csv")
         assert forks == []
-
-    def test_failing_worker_raises_oserror(self, tmp_path, four_cpus, forks,
-                                           monkeypatch):
-        _fail_past_row_zero(monkeypatch)
-        path = tmp_path / "table.csv"
-        with pytest.raises(OSError, match="table.csv"):
-            write_trajectory(_signal_table(28801, 4), path)
-        assert len(forks) == 2
-        _assert_no_child_left()
-
-    def test_failing_first_part_reaps_the_workers(self, tmp_path, four_cpus, forks,
-                                                  monkeypatch):
-        format_rows = io_formats._format_rows
-
-        def failing(columns, start, stop):
-            if start == 0:
-                raise RuntimeError("first part failed")
-            return format_rows(columns, start, stop)
-
-        monkeypatch.setattr(io_formats, "_format_rows", failing)
-        with pytest.raises(RuntimeError, match="first part failed"):
-            write_trajectory(_signal_table(28801, 4), tmp_path / "table.csv")
-        assert len(forks) == 2
-        _assert_no_child_left()
-
-    def test_failing_worker_is_a_cli_error(self, tmp_path, four_cpus, forks, monkeypatch,
-                                           capsys):
-        _fail_past_row_zero(monkeypatch)
-        code = main(["simulate", "--case", "passive", "--out", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: ") and "passive_trajectory.csv" in err
-        assert err.count("\n") == 1
-        assert forks
-        _assert_no_child_left()
-
 
 
 def _serial_rows(text: str) -> np.ndarray:
@@ -648,6 +575,14 @@ class TestReaderInParts:
         table = table_from_text(text)
         assert table.t.tobytes() == _serial_rows(text)[:, 0].tobytes()
         assert len(forks) == cpus - 1
+        _assert_no_child_left()
+
+    def test_cpu_count_without_affinity(self, monkeypatch, forks):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        text = table_to_text(_signal_table(57601, 1))
+        assert io_formats._load_rows(text, 2).tobytes() == _serial_rows(text).tobytes()
+        assert len(forks) == 2
         _assert_no_child_left()
 
     def test_without_fork_reads_in_one_process(self, four_cpus, monkeypatch):
