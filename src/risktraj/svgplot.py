@@ -49,6 +49,11 @@ def _fmt(v: float) -> str:
     return format(round(v, 2), "g")
 
 
+def _escape(text: str) -> str:
+    """text as XML character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 class _Panel:
     def __init__(self, y_top: float, t_lo: float, t_hi: float,
                  y_lo: float, y_hi: float):
@@ -201,9 +206,9 @@ def emit_plot(
         )
         parts.append(
             f'<text x="{x_legend + 28}" y="26" font-size="12" '
-            f'fill="#222222">{label}</text>'
+            f'fill="#222222">{_escape(label)}</text>'
         )
-        x_legend += 36 + 8 * len(label)
+        x_legend += 36 + 8 * len(label)  # by the text shown, not its markup
 
     y_xlabel = height - 16
     parts.append(

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -419,6 +420,16 @@ class TestEmitPlot:
         text = fig.read_text()
         assert text.count("<polyline") == 4
         assert "passive_trajectory" in text
+
+    def test_label_with_markup_characters(self, tmp_path):
+        assert main(["simulate", "--case", "passive", "--out", str(tmp_path), *FAST]) == 0
+        csv = tmp_path / "a&b<1>.csv"
+        (tmp_path / "passive_trajectory.csv").rename(csv)
+        fig = tmp_path / "fig.svg"
+        assert main(["emit-plot", str(csv), "--out", str(fig)]) == 0
+        texts = [el.text for el in ElementTree.parse(fig).iter()
+                 if el.tag.endswith("text")]
+        assert "a&b<1>" in texts
 
 
 def _child_env():
