@@ -10,11 +10,9 @@ When a trajectory CSV is read, each cell accepts what Python `float`
 accepts (surrounding whitespace included), blank lines are skipped, and
 a bad row is reported by its line number in the file.
 
-One process writes a trajectory CSV. When one is read on POSIX, the rows
-of a long table are parsed on up to the usable CPUs by forked workers, in
-contiguous parts of at least 8,192 rows; without `os.fork`, on one usable
-CPU or for a shorter table, one process parses them. The table read is
-identical either way.
+One process writes a trajectory CSV, and one process reads it: the rows
+are parsed by one `np.loadtxt` call, or line by line where that call
+cannot be sure to read them as Python `float` does.
 """
 
 from __future__ import annotations
@@ -23,9 +21,7 @@ import configparser
 import hashlib
 import importlib
 import io
-import itertools
 import math
-import os
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -113,9 +109,6 @@ class TrajectoryTable:
 
 
 _BLOCK_ROWS = 4096  # rows formatted per block; bounds peak memory
-# Fewest rows worth a forked reader: one fork and wait costs about what
-# parsing 2,000 to 3,600 rows does.
-_MIN_PART_ROWS = 8192
 
 # The trajectory writer computes NUMBER_FORMAT's text in numpy. For a finite
 # double x, "%.17g" writes D = |x|*10^(16-X) rounded half-even to an integer
@@ -274,55 +267,6 @@ def write_trajectory(table: TrajectoryTable, destination) -> None:
         fh.writelines(_table_blocks(table))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 without fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _part_count(n_rows: int) -> int:
-    """Contiguous parts a table of n_rows rows is read in: one per usable
-    CPU, each of at least _MIN_PART_ROWS rows; one without fork."""
-    return max(1, min(_usable_cpus(), n_rows // _MIN_PART_ROWS))
-
-
-def _fork(work: Callable, *args):
-    """Fork a worker that writes the bytes-like work(*args) to a pipe; the
-    worker's pid and the read end of its pipe. The worker exits with code 0
-    once all is written, with 1 if anything fails."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # the worker: leave only through os._exit
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(work(*args))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _reap(workers) -> list[int]:
-    """Close the pipe of each (pid, pipe) in workers, then wait for each;
-    their exit codes. Every pipe is closed before any wait: a later worker
-    holds the read ends of earlier pipes, so a worker blocked writing its
-    pipe stays blocked until all are."""
-    for _, pipe in workers:
-        pipe.close()
-    return [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
-
-
 # Line breaks that str.splitlines() honours but numpy's reader does not (it
 # takes "\n" and "\r\n" as line ends and refuses a lone "\r"). Text holding
 # any of them is parsed line by line, so that rows keep today's boundaries.
@@ -330,59 +274,8 @@ _SPLITLINES_ONLY_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                            "\u2028", "\u2029")
 
 
-def _parse_part(raw: bytes, start: int, stop: int, n_columns: int) -> np.ndarray:
-    """The rows of raw[start:stop], a run of whole lines; the header line is
-    skipped when start is 0. ValueError unless each row has n_columns cells."""
-    lines = io.BytesIO(raw)  # shares raw: the part is not copied
-    lines.seek(start)
-    if stop < len(raw):
-        lines = itertools.islice(lines, raw.count(b"\n", start, stop))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # loadtxt warns on a part with no rows
-        data = np.loadtxt(lines, delimiter=",", skiprows=1 if start == 0 else 0,
-                          ndmin=2, comments=None, encoding="utf-8")
-    if data.shape[1] != n_columns:
-        raise ValueError(f"rows of {data.shape[1]} cells, expected {n_columns}")
-    return data
-
-
-def _count_lines(raw: bytes, start: int, enough: int) -> int:
-    """Line ends in raw[start:], counted until at least `enough` are found."""
-    count, step = 0, 1 << 18
-    while count < enough and start < len(raw):
-        count += raw.count(b"\n", start, start + step)
-        start += step
-    return count
-
-
-def _parse_parts(raw: bytes, n_columns: int) -> list[np.ndarray] | None:
-    """The rows of raw below its header, parsed in parts (`_part_count`) cut
-    at line ends: forked workers parse all but the last, which this process
-    parses while they run. None if any part fails or a worker cannot be
-    forked. Every worker is reaped before this returns or raises."""
-    body = raw.find(b"\n") + 1
-    if body == 0:
-        return None  # a header and no rows
-    parts = _part_count(_count_lines(raw, body, _usable_cpus() * _MIN_PART_ROWS))
-    cuts = (raw.find(b"\n", body + (len(raw) - body) * i // parts) + 1
-            for i in range(1, parts))
-    bounds = sorted({0, *(cut for cut in cuts if cut), len(raw)})
-    workers = []  # (pid, pipe) of each forked part, in order
-    try:
-        for start, stop in zip(bounds[:-2], bounds[1:-1]):
-            workers.append(_fork(_parse_part, raw, start, stop, n_columns))
-        last = _parse_part(raw, bounds[-2], bounds[-1], n_columns)
-        rows = [np.frombuffer(pipe.read()).reshape(-1, n_columns)
-                for _, pipe in workers]
-    except (ValueError, OSError):
-        return None
-    finally:
-        codes = _reap(workers)
-    return None if any(codes) else [*rows, last]
-
-
 def _load_rows(text: str, n_columns: int) -> np.ndarray | None:
-    """Parse the body below the header in C-level passes, in parts.
+    """Parse the body below the header in one `np.loadtxt` call.
 
     Returns the rows only when they are certain to equal what `_scan_rows`
     gives and pass every check of `table_from_text`; otherwise None, and
@@ -394,12 +287,14 @@ def _load_rows(text: str, n_columns: int) -> np.ndarray | None:
         raw = text.encode("utf-8")
     except UnicodeEncodeError:  # lone surrogates
         return None
-    parts = _parse_parts(raw, n_columns)
-    del raw  # freed before the parts are joined
-    if parts is None:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a body with no rows
+            data = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1, ndmin=2,
+                              comments=None, encoding="utf-8")
+    except ValueError:
         return None
-    data = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    if (len(data) < 2 or not np.isfinite(data).all()
+    if (data.shape[1] != n_columns or len(data) < 2 or not np.isfinite(data).all()
             or not (np.diff(data[:, 0]) > 0).all()):
         return None
     return data
