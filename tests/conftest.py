@@ -1,4 +1,5 @@
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -23,6 +24,20 @@ def no_child_left_unreaped():
     except ChildProcessError:
         return  # no children
     pytest.fail(f"test left child process {pid or '(still running)'} unreaped")
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a test that runs past 30 s, such as one caught in a loop that
+    never ends, rather than let it block the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("the test did not finish within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

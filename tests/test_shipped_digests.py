@@ -2,9 +2,8 @@
 shipped step (integrator.dt_s = 0.005, 28,801 rows per case).
 
 `test_compare_digests.py` runs at dt 0.02, with 7,201 rows per table; this
-guard covers the full-length tables that `compare` ships. One process writes
-each table whatever the usable CPU count, here fixed at two, and `compare`
-reads no CSV, so it forks nothing.
+guard covers the full-length tables that `compare` ships. The package forks
+no process: one process writes each table.
 """
 
 import hashlib
@@ -23,8 +22,6 @@ TRAJECTORY_SHA256 = {
 
 
 def test_shipped_step_trajectories_byte_identical(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     out = tmp_path / "cmp"
