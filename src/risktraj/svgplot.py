@@ -7,6 +7,8 @@ case, with the disturbance window shaded in both panels.
 
 from __future__ import annotations
 
+import math
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -28,25 +30,21 @@ _PALETTE = ("#1b6ca8", "#d1495b", "#2e933c", "#8d6a9f", "#c77b30")
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / target
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
         if span / step <= target + 1:
             break
-    first = np.ceil(lo / step) * step
-    ticks = []
-    v = first
-    while v <= hi + 1e-9 * span:
-        ticks.append(round(v / step) * step)
-        v += step
-    return ticks
+    # by index: far from zero, adding step to a tick can leave it unchanged
+    first = math.ceil(lo / step)
+    last = math.floor((hi + 1e-9 * span) / step)
+    return [k * step for k in range(first, last + 1)]
 
 
 def _fmt(v: float) -> str:
-    return format(round(v, 2), "g")
+    # v is whole from 2**52 on, and round's v * 100 may overflow there
+    return format(round(v, 2) if abs(v) < 2.0**52 else v, "g")
 
 
 def _escape(text: str) -> str:
@@ -157,13 +155,19 @@ def emit_plot(
     pad = 0.05 * (e_hi - e_lo) if e_hi > e_lo else 1.0
     e_lo, e_hi = e_lo - pad, e_hi + pad
     r_all = np.concatenate([table.signals["r"] for table in tables])
-    r_hi = max(1.0, float(np.max(r_all)))
-
+    r_lo = min(0.0, float(np.min(r_all))) * 1.05
+    r_hi = max(1.0, float(np.max(r_all))) * 1.05
     t_lo, t_hi = float(t_ref[0]), float(t_ref[-1])
+    for name, lo, hi in (("t", t_lo, t_hi), ("E", e_lo, e_hi), ("r", r_lo, r_hi)):
+        # a narrower axis cannot be ticked, and a wider one cannot be scaled
+        if not sys.float_info.min <= hi - lo < math.inf:
+            raise ParameterError(
+                f"cannot plot {name} over [{lo:.6g}, {hi:.6g}]: the range is "
+                "too narrow or too wide for double precision"
+            )
+
     panel_e = _Panel(_MARGIN_TOP, t_lo, t_hi, e_lo, e_hi)
-    panel_r = _Panel(
-        _MARGIN_TOP + _PANEL_HEIGHT + _PANEL_GAP, t_lo, t_hi, 0.0, r_hi * 1.05
-    )
+    panel_r = _Panel(_MARGIN_TOP + _PANEL_HEIGHT + _PANEL_GAP, t_lo, t_hi, r_lo, r_hi)
     height = _MARGIN_TOP + 2 * _PANEL_HEIGHT + _PANEL_GAP + _MARGIN_BOTTOM
 
     parts = [

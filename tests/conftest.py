@@ -26,12 +26,17 @@ def no_child_left_unreaped():
     pytest.fail(f"test left child process {pid or '(still running)'} unreaped")
 
 
+class TimeLimitExceeded(BaseException):
+    """Not an Exception, so that neither the code under test nor hypothesis
+    takes it for an error of its own and goes on."""
+
+
 @pytest.fixture
 def time_limit():
     """Fail a test that runs past 30 s, such as one caught in a loop that
     never ends, rather than let it block the suite."""
     def expire(signum, frame):
-        raise TimeoutError("the test did not finish within 30 s")
+        raise TimeLimitExceeded("the test did not finish within 30 s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(30)

@@ -8,9 +8,11 @@ The argv of each subcommand is drawn from a grammar: extreme numbers (nan,
 ±inf, -0, 1e308, the smallest subnormal) in flags, overrides and sweep
 ranges; missing, empty, binary, truncated and directory paths where files
 are read; unwritable output paths; unknown keys and malformed overrides.
-Every run sets the coarse step `integrator.dt_s=0.5`, and no drawn value
-asks for a long run: integrator values are either ones a short run accepts
-or ones that exceed the step limit, and sweep counts are at most 3.
+Trajectory CSVs include tables at the limits of double precision. Every
+run sets the coarse step `integrator.dt_s=0.5`, and no drawn value asks
+for a long run: integrator values are either ones a short run accepts or
+ones that exceed the step limit, and sweep counts are at most 3. A run
+that does not end fails the test after 30 s.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import io
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +60,19 @@ def _csv_text(n_rows: int, columns: tuple[str, ...]) -> str:
 CSV_TEXT = _csv_text(60, ("r",))
 WIDE_CSV_TEXT = _csv_text(40, ("E", "P_in", "P_load", "r"))
 BINARY = bytes(range(256)) * 4
+# Tables emit-plot can only draw with care for rounding and overflow: E one
+# ulp apart, t far from zero, E or r near the largest double, E whose padded
+# range is lost to rounding, and E whose range is subnormal.
+EXTREME_CSV_TEXTS = {
+    "ulp_e": "t,E,r\n0,50,0\n1,50.000000000000007,0.5\n",
+    "far_t": "t,E,r\n100000000000000000,1,0\n100000000000000016,2,0.5\n",
+    "flat_e": "t,E,r\n0,1e17,0\n1,1e17,0.5\n",
+    "huge_r": "t,E,r\n0,1,0\n1,2,1e308\n",
+    "huge_e": "t,E,r\n0,1e308,0\n1,1e308,0.5\n",
+    "wide_e": "t,E,r\n0,1e308,0\n1,-1e308,0.5\n",
+    "tiny_e": "t,E,r\n0,0,0\n1,5e-324,0.5\n",
+    "low_r": "t,E,r\n0,1,0\n1,2,-1e308\n",
+}
 
 
 class Files:
@@ -77,6 +93,8 @@ class Files:
         lines[7] = "3,nan\n"
         self.write("nan.csv", "".join(lines).encode())
         self.write("header_only.csv", b"t,r\n")
+        for kind, text in EXTREME_CSV_TEXTS.items():
+            self.write(f"{kind}.csv", text.encode())
 
     def write(self, name: str, data: bytes) -> str:
         path = self.root / name
@@ -104,7 +122,8 @@ def config_arg(draw, files):
 @st.composite
 def csv_arg(draw, files):
     kind = draw(st.sampled_from(["r"] * 5 + ["wide"] * 5 + [
-        "missing", "empty", "binary", "nan", "header_only", "truncated", "directory"]))
+        "missing", "empty", "binary", "nan", "header_only", "truncated", "directory",
+        *EXTREME_CSV_TEXTS]))
     if kind == "truncated":
         text = draw(st.sampled_from([CSV_TEXT, WIDE_CSV_TEXT]))
         cut = draw(st.integers(0, len(text) - 1))
@@ -216,6 +235,7 @@ def _run(argv):
     return code, err.getvalue(), [str(w.message) for w in caught]
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_every_command_line_exits_cleanly(tmp_path_factory):
     files = Files(tmp_path_factory.mktemp("cli_property"))
     argv_of = st.one_of(simulate_argv(files), compare_argv(files), sweep_argv(files),
