@@ -18,6 +18,7 @@ that does not end fails the test after 30 s.
 import contextlib
 import io
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -61,8 +62,8 @@ CSV_TEXT = _csv_text(60, ("r",))
 WIDE_CSV_TEXT = _csv_text(40, ("E", "P_in", "P_load", "r"))
 BINARY = bytes(range(256)) * 4
 # Tables emit-plot can only draw with care for rounding and overflow: E one
-# ulp apart, t far from zero, E or r near the largest double, E whose padded
-# range is lost to rounding, and E whose range is subnormal.
+# ulp apart, t far from zero, t, E or r near the largest double, E whose
+# padded range is lost to rounding, and E whose range is subnormal.
 EXTREME_CSV_TEXTS = {
     "ulp_e": "t,E,r\n0,50,0\n1,50.000000000000007,0.5\n",
     "far_t": "t,E,r\n100000000000000000,1,0\n100000000000000016,2,0.5\n",
@@ -72,6 +73,7 @@ EXTREME_CSV_TEXTS = {
     "wide_e": "t,E,r\n0,1e308,0\n1,-1e308,0.5\n",
     "tiny_e": "t,E,r\n0,0,0\n1,5e-324,0.5\n",
     "low_r": "t,E,r\n0,1,0\n1,2,-1e308\n",
+    "wide_t": "t,E,r\n-1e308,1,0\n1e308,2,0.5\n",
 }
 
 
@@ -256,3 +258,20 @@ def test_every_command_line_exits_cleanly(tmp_path_factory):
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
     check()
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("kind", EXTREME_CSV_TEXTS)
+def test_emit_plot_of_extreme_table_ends_cleanly(tmp_path, kind):
+    """One error line and exit 1, or exit 0 and an SVG of finite numbers."""
+    files = Files(tmp_path / "files")
+    svg = tmp_path / "plot.svg"
+    code, err, caught = _run(["emit-plot", files.path(f"{kind}.csv"), "--out", str(svg)])
+    assert caught == []
+    if code == 0:
+        assert err == ""
+        text = svg.read_text()
+        ElementTree.fromstring(text.encode())
+        assert "nan" not in text and "inf" not in text
+    else:
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
