@@ -284,15 +284,12 @@ def _load_rows(text: str, n_columns: int) -> np.ndarray | None:
     if any(brk in text for brk in _SPLITLINES_ONLY_BREAKS):
         return None
     try:
-        raw = text.encode("utf-8")
-    except UnicodeEncodeError:  # lone surrogates
-        return None
-    try:
+        raw = io.BytesIO(text.encode("utf-8"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on a body with no rows
-            data = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1, ndmin=2,
-                              comments=None, encoding="utf-8")
-    except ValueError:
+            data = np.loadtxt(raw, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                              encoding="utf-8")
+    except ValueError:  # also UnicodeEncodeError, for lone surrogates
         return None
     if (data.shape[1] != n_columns or len(data) < 2 or not np.isfinite(data).all()
             or not (np.diff(data[:, 0]) > 0).all()):
