@@ -565,7 +565,9 @@ class TestReaderInParts:
                 assert got[1].signals[name].tobytes() == want[1].signals[name].tobytes()
         assert forks == []
 
-    def test_failing_parse_falls_back_to_the_line_scan(self, monkeypatch):
+    def test_failing_worker_falls_back_to_the_line_scan(self, forks, monkeypatch):
+        """The one loadtxt call does the work of every part; a ValueError
+        from it sends the text to the line scan, which gives the same table."""
         text = table_to_text(_signal_table(28801, 4))
         want = _serial_rows(text)
         calls = []
@@ -580,6 +582,26 @@ class TestReaderInParts:
         assert table.t.tobytes() == want[:, 0].tobytes()
         for j, name in enumerate(table.signals, start=1):
             assert table.signals[name].tobytes() == want[:, j].tobytes()
+        assert forks == []
+
+    def test_fork_failure_falls_back_to_the_line_scan(self, monkeypatch):
+        """A process that cannot fork reads a table all the same: neither the
+        loadtxt parse nor the line scan it falls back to forks."""
+        def no_fork():
+            raise BlockingIOError("no more processes")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        text = table_to_text(_signal_table(57601, 1))
+        want = _serial_rows(text)
+        assert table_from_text(text).t.tobytes() == want[:, 0].tobytes()
+
+        def failing(*args, **kwargs):
+            raise ValueError("parse failed")
+
+        monkeypatch.setattr(np, "loadtxt", failing)
+        table = table_from_text(text)
+        assert table.t.tobytes() == want[:, 0].tobytes()
+        assert table.signals["s0"].tobytes() == want[:, 1].tobytes()
 
 
 def sample_document(**overrides):
