@@ -286,42 +286,64 @@ class SolarEnergyTable:
         return self.cumulative(t2) - self.cumulative(t1)
 
 
-def _shed_law(policy: LoadPolicy, config: ScenarioConfig):
-    """Shedding-flag update (k, E, prev) -> bool of one policy.
+@dataclass(frozen=True)
+class _LoadLaw:
+    """Load P0, or floor while shedding, less gain per J below E_target,
+    clipped to [floor, P0]; shedding on hysteresis (below E_on, until
+    above E_off) or, when horizon is set, on the forecast over it."""
+
+    P0: float
+    floor: float
+    gain: float = 0.0
+    E_target: float = -math.inf
+    E_on: float = -math.inf
+    E_off: float = -math.inf
+    horizon: float | None = None
+
+
+def _load_law(policy: LoadPolicy) -> _LoadLaw:
+    """The one place that tells policy types apart. A passive policy never
+    sheds; gain 0 makes the proportional term exactly 0.0."""
+    if isinstance(policy, PassivePolicy):
+        return _LoadLaw(policy.P0, policy.P0)
+    floor = policy.P0 * (1.0 - policy.shed_fraction)
+    if isinstance(policy, ReactivePolicy):
+        return _LoadLaw(policy.P0, floor, E_on=policy.E_on, E_off=policy.E_off)
+    return _LoadLaw(policy.P0, floor, policy.gain, policy.E_target,
+                    horizon=policy.horizon)
+
+
+def _shed_law(law: _LoadLaw, config: ScenarioConfig):
+    """Shedding-flag update (k, E, prev) -> bool of one law.
 
     k is a grid index and E the level there, or a slice of indices and
-    the array of levels at them (free flight); each policy writes its
-    rule once, for floats and arrays alike.
+    the array of levels at them (free flight); each rule is written once,
+    for floats and arrays alike.
 
-    The anticipatory policy forecasts the energy level from the
-    undisturbed input energy over [t, t + horizon]. The flag is only
-    updated at grid times, so that inflow is computed once on the grid
-    with one vectorised table lookup and read at the grid index.
+    The forecast projects the energy level from the undisturbed input
+    energy over [t, t + horizon]. The flag is only updated at grid times,
+    so that inflow is computed once on the grid with one vectorised table
+    lookup and read at the grid index.
     """
-    if isinstance(policy, PassivePolicy):
-        def never(_k, _E, _prev):
-            return False
-
-        return never
-    if isinstance(policy, ReactivePolicy):
-        E_on, E_off = policy.E_on, policy.E_off
+    if law.horizon is None:
+        E_on, E_off = law.E_on, law.E_off
 
         def hysteresis(_k, E, prev):
             # True below E_on, False above E_off, prev in between
             return (E < E_on) | (prev & (E <= E_off))
 
         return hysteresis
-    spent = policy.P0 * policy.horizon
-    E_target = policy.E_target
+    spent = law.P0 * law.horizon
+    E_target = law.E_target
     integ = config.integrator
     times = TimeGrid(integ.t_start, integ.dt, integ.n_steps() + 1).times()
     with np.errstate(over="ignore", invalid="ignore"):
-        inflow = SolarEnergyTable(config.solar).between(times, times + policy.horizon)
+        inflow = SolarEnergyTable(config.solar).between(times, times + law.horizon)
     # inf - inf would make the forecast NaN, which never sheds
     if not (math.isfinite(spent) and np.isfinite(inflow).all()):
         raise ConfigurationError(
             "the energy forecast over [policy.anticipatory] horizon_s = "
-            f"{policy.horizon} is not finite; lower it, P0_W or [solar] P_peak_W"
+            f"{law.horizon} is not finite; lower it, P0_W or [solar] P_peak_W"
         )
 
     def forecast_short(k, E, _prev):
@@ -330,31 +352,15 @@ def _shed_law(policy: LoadPolicy, config: ScenarioConfig):
     return forecast_short
 
 
-def _load_floor(policy: LoadPolicy) -> float:
-    """Load while shedding; a passive policy never sheds."""
-    if isinstance(policy, PassivePolicy):
-        return policy.P0
-    return policy.P0 * (1.0 - policy.shed_fraction)
-
-
-def _rhs_law(policy: LoadPolicy, E_max: float) -> Callable[..., float]:
-    """RK4 right-hand side (E, u, shed) -> dE/dt for one policy.
+def _rhs_law(law: _LoadLaw, E_max: float) -> Callable[[float, float, bool], float]:
+    """RK4 right-hand side (E, u, shed) -> dE/dt of one law.
 
     u is the sampled input P_in*d; the load law is inlined, so a substep
     costs one call. Net inflow is zeroed at the saturated bounds.
     """
-    P0, floor = policy.P0, _load_floor(policy)
-    if not isinstance(policy, AnticipatoryPolicy):
-        def rhs(E: float, u: float, shed: bool) -> float:
-            net = u - (floor if shed else P0)
-            if (E >= E_max and net > 0.0) or (E <= 0.0 and net < 0.0):
-                return 0.0
-            return net
+    P0, floor, gain, E_target = law.P0, law.floor, law.gain, law.E_target
 
-        return rhs
-    gain, E_target = policy.gain, policy.E_target
-
-    def rhs_anticipatory(E: float, u: float, shed: bool) -> float:
+    def rhs(E: float, u: float, shed: bool) -> float:
         # min/max spelled as comparisons: same values, half the call cost
         short = E_target - E
         load = (floor if shed else P0) - gain * (short if short > 0.0 else 0.0)
@@ -364,19 +370,16 @@ def _rhs_law(policy: LoadPolicy, E_max: float) -> Callable[..., float]:
             return 0.0
         return net
 
-    return rhs_anticipatory
+    return rhs
 
 
-def _load_series(policy: LoadPolicy, E: np.ndarray, shed: np.ndarray) -> np.ndarray:
+def _load_series(law: _LoadLaw, E: np.ndarray, shed: np.ndarray) -> np.ndarray:
     """_rhs_law's load over recorded arrays; the same values, sample by sample."""
-    P0, floor = policy.P0, _load_floor(policy)
-    base = np.where(shed, floor, P0)
-    if not isinstance(policy, AnticipatoryPolicy):
-        return base
+    base = np.where(shed, law.floor, law.P0)
     # a huge gain overflows to -inf, which clips to the floor as in the law
     with np.errstate(over="ignore"):
-        raw = base - policy.gain * np.maximum(0.0, policy.E_target - E)
-    return np.clip(raw, floor, P0)
+        raw = base - law.gain * np.maximum(0.0, law.E_target - E)
+    return np.clip(raw, law.floor, law.P0)
 
 
 def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
@@ -394,21 +397,15 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
     policy = config.policies.get(case_id)
     if policy is None:
         raise ConfigurationError(f"config carries no policy for case {case_id!r}")
-    if not isinstance(policy, _POLICY_TYPES[case_id]):
-        raise ConfigurationError(
-            f"policy for case {case_id!r} is {type(policy).__name__}"
-        )
 
+    law = _load_law(policy)
     solar = config.solar
     E_max = config.energy.E_max
     rmap = config.risk_map()
-    # Inside (lo, E_max) nothing clamps and, for the anticipatory policy,
-    # E > E_target zeroes the proportional term, so dE/dt = u - load.
-    lo = max(0.0, policy.E_target) if isinstance(policy, AnticipatoryPolicy) else 0.0
-    flight = {
-        shed: (load, lo, E_max)
-        for shed, load in ((False, policy.P0), (True, _load_floor(policy)))
-    }
+    # Inside (lo, E_max) nothing clamps and E > E_target zeroes the
+    # proportional term, so dE/dt = u - load.
+    lo = max(0.0, law.E_target)
+    flight = {False: (law.P0, lo, E_max), True: (law.floor, lo, E_max)}
 
     def project(E):
         # E is a float or a length-1 array (clipped elementwise); NaN
@@ -420,9 +417,9 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
         return 0.0 if E < 0.0 else E_max if E > E_max else E
 
     return DynamicalSystem(
-        rhs=_rhs_law(policy, E_max),
+        rhs=_rhs_law(law, E_max),
         output_map=lambda E: risk_of_energy(E, rmap),
-        mode_update=_shed_law(policy, config),
+        mode_update=_shed_law(law, config),
         mode_init=False,
         project=project,
         disturbance_neutral=1.0,
@@ -479,7 +476,7 @@ def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
 
     shed = np.array(result.modes, dtype=bool)
     p_load = Trajectory(
-        grid, _load_series(config.policies[case_id], energy.values, shed)
+        grid, _load_series(_load_law(config.policies[case_id]), energy.values, shed)
     )
 
     t0 = d.onset if d.kind == "pulse" else config.integrator.t_start
