@@ -15,6 +15,7 @@ from risktraj.scenario import (
     RiskMap,
     ScenarioConfig,
     SolarProfile,
+    _load_law,
     _load_series,
     build_case,
     compare_cases,
@@ -48,7 +49,8 @@ def load_power(k, E, prev_shedding, policy, solar):
     config = with_policies(
         dataclasses.replace(default_config(), solar=solar), **{case_id: policy})
     shed = build_case(case_id, config).mode_update(k, E, prev_shedding)
-    return float(_load_series(policy, np.array([E]), np.array([shed]))[0]), shed
+    load = _load_series(_load_law(policy), np.array([E]), np.array([shed]))
+    return float(load[0]), shed
 
 
 class TestRiskMap:
