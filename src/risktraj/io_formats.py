@@ -64,11 +64,15 @@ class TrajectoryTable:
             raise ParameterError("need at least two rows")
         if not np.all(np.isfinite(t)):
             raise ParameterError("non-finite time value")
-        diffs = np.diff(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = np.diff(t)
+            mean_dt = float(np.mean(diffs))
         if np.any(diffs <= 0):
             raise ParameterError("t must be strictly increasing")
+        # past the largest double a step is inf, and the spread inf - inf NaN
+        if not math.isfinite(mean_dt):
+            raise ParameterError("the steps of t overflow")
         spread = float(np.max(diffs) - np.min(diffs))
-        mean_dt = float(np.mean(diffs))
         if spread > 1e-9 * mean_dt:
             raise ParameterError(
                 f"t is not uniformly spaced (relative spread {spread / mean_dt:.3g})"
@@ -292,7 +296,7 @@ def _load_rows(text: str, n_columns: int) -> np.ndarray | None:
     except ValueError:  # also UnicodeEncodeError, for lone surrogates
         return None
     if (data.shape[1] != n_columns or len(data) < 2 or not np.isfinite(data).all()
-            or not (np.diff(data[:, 0]) > 0).all()):
+            or not (data[1:, 0] > data[:-1, 0]).all()):
         return None
     return data
 
@@ -341,9 +345,9 @@ def table_from_text(text: str) -> TrajectoryTable:
         if len(rows) < 2:
             raise TableParseError(f"need at least 2 data rows, found {len(rows)}")
         data = np.array(rows)
-        steps = np.diff(data[:, 0])
-        if np.any(steps <= 0):
-            bad = int(np.flatnonzero(steps <= 0)[0])
+        rises = data[1:, 0] > data[:-1, 0]  # no subtraction, which may overflow
+        if not rises.all():
+            bad = int(np.argmin(rises))
             raise TableParseError("t not strictly increasing", line_no=line_nos[bad + 1])
     try:
         return TrajectoryTable(

@@ -158,6 +158,15 @@ class TestAnalyze:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_time_steps_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "wide.csv"
+        bad.write_text("t,r\n-1e308,0\n1e308,1\n")
+        assert main(["analyze", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the steps of t overflow\n"
+
     def test_non_utf8_file_rejected(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"
         bad.write_bytes(b"t,r\n0,1\n0.5,0.5\n1,0.25 \xb5\n")

@@ -171,6 +171,20 @@ class TestTrajectoryParsingErrors:
         with pytest.raises(TableParseError, match="^line 6: t not strictly increasing$"):
             table_from_text(text)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", [
+        "t,r\n-1e308,0\n1e308,1\n",         # one step past the largest double
+        "t,r\n-1e308,0\n1e308,1_0\n",       # the same, read by the line scan
+        "t,r\n-1e308,0\n0,1\n1e308,1\n",    # finite steps whose sum overflows
+    ])
+    def test_overflowing_time_steps(self, text):
+        # inf steps made the spread inf - inf = nan, which passed the
+        # uniform-spacing check
+        with pytest.raises(TableParseError, match="^the steps of t overflow$"):
+            table_from_text(text)
+        with pytest.raises(ParameterError, match="overflow"):
+            TrajectoryTable(t=np.array([-1e308, 1e308]), signals={"r": np.zeros(2)})
+
     @pytest.mark.parametrize("text", ["t,r\n", "t,r\n\n  \n", "t,r\n0,1\n"])
     def test_no_data_raises_without_warning(self, text):
         with warnings.catch_warnings():
