@@ -1,5 +1,12 @@
+import os
 import sys
 
-from .cli import main
+# Before numpy loads: OpenBLAS splits a dot product of more than 10,000
+# elements across threads, and the damping fit's last bits would follow
+# the host's CPU count. A value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-sys.exit(main())
+from .cli import main  # noqa: E402
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,9 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import risktraj
+from risktraj.io_formats import TrajectoryTable, write_trajectory
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -66,3 +68,73 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         risktraj.no_such_name  # noqa: B018
     assert not hasattr(risktraj, "SolarEnergyTable")  # defined, but not exported
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+
+
+def _child_env(**overrides):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": str(SRC), **overrides}
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="one CPU runs BLAS on one thread anyway")
+def test_cli_output_does_not_follow_the_blas_thread_count(tmp_path):
+    # Over 10,000 elements OpenBLAS splits np.dot across threads, which
+    # moved the last bits of the damping fit with the thread count.
+    t = 0.01 * np.arange(40_000)
+    noise = np.random.default_rng(3).standard_normal(len(t))
+    csv = tmp_path / "long.csv"
+    write_trajectory(TrajectoryTable(
+        t=t, signals={"r": 0.5 * np.exp(-0.01 * t) * (1.0 + 1e-3 * noise)}), csv)
+    outputs = [
+        subprocess.run([sys.executable, "-m", "risktraj", "analyze", str(csv),
+                        "--baseline", "zero"],
+                       capture_output=True, env=env, timeout=120)
+        for env in (_child_env(), _child_env(OPENBLAS_NUM_THREADS="1"))
+    ]
+    for proc in outputs:
+        assert proc.returncode == 0, proc.stderr
+        assert b"lambda_hat_per_s" in proc.stdout
+    assert outputs[0].stdout == outputs[1].stdout
+
+
+SHOW_BLAS_THREADS = """
+import os, risktraj.__main__
+print(os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.parametrize("value, expected", [(None, "1"), ("2", "2")])
+def test_blas_thread_setting_kept_when_set(value, expected):
+    env = _child_env() if value is None else _child_env(OPENBLAS_NUM_THREADS=value)
+    proc = subprocess.run([sys.executable, "-c", SHOW_BLAS_THREADS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{expected}\n"
+
+
+RESOLVE_CONSOLE_SCRIPT = """
+import importlib, json, sys, tomllib
+with open(sys.argv[1], "rb") as fh:
+    target = tomllib.load(fh)["project"]["scripts"]["risktraj"]
+module, _, attr = target.partition(":")
+main = getattr(importlib.import_module(module), attr)
+import risktraj.cli
+print(json.dumps({"target": target, "is_cli_main": main is risktraj.cli.main,
+                  "scenario_loaded": "risktraj.scenario" in sys.modules}))
+"""
+
+
+def test_console_script_resolves_to_cli_main():
+    pyproject = SRC.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-c", RESOLVE_CONSOLE_SCRIPT, str(pyproject)],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    # importing the target must neither exit nor print anything else
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["is_cli_main"], result["target"]
+    assert not result["scenario_loaded"]
