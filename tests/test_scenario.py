@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from risktraj.dynamics import DisturbanceSignal, IntegratorConfig
 from risktraj.errors import ConfigurationError, ParameterError
@@ -152,6 +154,63 @@ class TestLoadPower:
                                shed_fraction=0.5, gain=-0.1)
         with pytest.raises(ParameterError):
             PassivePolicy(P0=0.0)
+
+
+# The defaults over 48 s: the law does not depend on the run's length.
+SHORT_DEFAULTS = dataclasses.replace(
+    default_config(), integrator=IntegratorConfig(dt=0.01, t_start=0.0, t_end=48.0))
+
+
+@st.composite
+def law_cases(draw):
+    """(case id, policy, E): any policy kind, a gain of 0, moderate or
+    near the float limit, and a level E in (0, E_max)."""
+    P0 = draw(st.floats(0.01, 100.0))
+    shed_fraction = draw(st.floats(0.0, 1.0, exclude_max=True))
+    E = draw(st.floats(0.0, 100.0, exclude_min=True, exclude_max=True))
+    case_id = draw(st.sampled_from(CASE_IDS))
+    if case_id == "passive":
+        return case_id, PassivePolicy(P0=P0), E
+    if case_id == "reactive":
+        E_on = draw(st.floats(0.0, 100.0))
+        return case_id, ReactivePolicy(P0=P0, E_on=E_on, E_off=E_on + draw(
+            st.floats(0.01, 50.0)), shed_fraction=shed_fraction), E
+    gain = draw(st.sampled_from([0.0, 1e308]) | st.floats(0.0, 1e3))
+    E_target = draw(st.floats(-50.0, 150.0))
+    if gain and draw(st.booleans()):
+        # a shortfall under P0*shed_fraction/gain: the proportional band,
+        # where an unshed load lies strictly between floor and P0
+        E_target = E + draw(st.floats(0.0, 1.0)) * min(P0 * shed_fraction / gain, 50.0)
+    return case_id, AnticipatoryPolicy(
+        P0=P0, horizon=draw(st.floats(0.1, 24.0)), E_target=E_target,
+        shed_fraction=shed_fraction, gain=gain), E
+
+
+def _anticipatory(gain):
+    return AnticipatoryPolicy(P0=2.75, horizon=3.0, E_target=48.0, shed_fraction=0.5,
+                              gain=gain)
+
+
+class TestOneLoadLaw:
+    """The rhs, the recorded load and the free-flight table are one law."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(law_cases(), st.floats(-1e3, 1e3), st.booleans())
+    # inside the proportional band (load 2.25 W), and an overflow to -inf
+    # that clips to the floor
+    @example(("anticipatory", _anticipatory(1.0), 47.5), 1.0, False)
+    @example(("anticipatory", _anticipatory(1e308), 40.0), 1.0, False)
+    def test_rhs_load_series_and_flight_agree(self, drawn, u, shed):
+        case_id, policy, E = drawn
+        system = build_case(case_id, with_policies(SHORT_DEFAULTS, **{case_id: policy}))
+        assert SHORT_DEFAULTS.energy.E_max == 100.0
+        load = _load_series(_load_law(policy), np.array([E]), np.array([shed]))[0]
+        # with no input, inside (0, E_max) the rhs is minus the load, bit for bit
+        assert (-system.rhs(E, 0.0, shed)).hex() == float(load).hex()
+        flight_load, lo, hi = system.free_flight[shed]
+        if lo < E < hi:
+            assert system.rhs(E, u, shed).hex() == (u - flight_load).hex()
+            assert flight_load == load
 
 
 class TestEnergyParams:
