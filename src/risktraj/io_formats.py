@@ -69,8 +69,7 @@ class TrajectoryTable:
             mean_dt = float(np.mean(diffs))
         if np.any(diffs <= 0):
             raise ParameterError("t must be strictly increasing")
-        # past the largest double a step is inf, and the spread inf - inf NaN
-        if not math.isfinite(mean_dt):
+        if not math.isfinite(mean_dt):  # else the spread could be inf - inf = nan
             raise ParameterError("the steps of t overflow")
         spread = float(np.max(diffs) - np.min(diffs))
         if spread > 1e-9 * mean_dt:

@@ -288,9 +288,8 @@ class SolarEnergyTable:
 
 @dataclass(frozen=True)
 class _LoadLaw:
-    """Load P0, or floor while shedding, less gain per J below E_target,
-    clipped to [floor, P0]; shedding on hysteresis (below E_on, until
-    above E_off) or, when horizon is set, on the forecast over it."""
+    """Load P0, or floor while shedding, less gain per J below E_target, in
+    [floor, P0]; sheds on hysteresis (E_on, E_off) or the forecast over horizon."""
 
     P0: float
     floor: float
@@ -317,13 +316,9 @@ def _shed_law(law: _LoadLaw, config: ScenarioConfig):
     """Shedding-flag update (k, E, prev) -> bool of one law.
 
     k is a grid index and E the level there, or a slice of indices and
-    the array of levels at them (free flight); each rule is written once,
-    for floats and arrays alike.
-
-    The forecast projects the energy level from the undisturbed input
-    energy over [t, t + horizon]. The flag is only updated at grid times,
-    so that inflow is computed once on the grid with one vectorised table
-    lookup and read at the grid index.
+    the array of levels at them (free flight); each rule serves both.
+    The forecast adds the undisturbed input energy over [t, t + horizon],
+    looked up once on the grid and read at k.
     """
     if law.horizon is None:
         E_on, E_off = law.E_on, law.E_off
@@ -353,11 +348,8 @@ def _shed_law(law: _LoadLaw, config: ScenarioConfig):
 
 
 def _rhs_law(law: _LoadLaw, E_max: float) -> Callable[[float, float, bool], float]:
-    """RK4 right-hand side (E, u, shed) -> dE/dt of one law.
-
-    u is the sampled input P_in*d; the load law is inlined, so a substep
-    costs one call. Net inflow is zeroed at the saturated bounds.
-    """
+    """RK4 right-hand side (E, u, shed) -> dE/dt of one law, u being the
+    sampled input P_in*d. Net inflow is zeroed at the saturated bounds."""
     P0, floor, gain, E_target = law.P0, law.floor, law.gain, law.E_target
 
     def rhs(E: float, u: float, shed: bool) -> float:
@@ -474,10 +466,9 @@ def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
         * d.sample(times, system.disturbance_neutral),
     )
 
+    law = _load_law(config.policies[case_id])
     shed = np.array(result.modes, dtype=bool)
-    p_load = Trajectory(
-        grid, _load_series(_load_law(config.policies[case_id]), energy.values, shed)
-    )
+    p_load = Trajectory(grid, _load_series(law, energy.values, shed))
 
     t0 = d.onset if d.kind == "pulse" else config.integrator.t_start
     report = assemble_report(risk, t0, config.metrics)
