@@ -2,7 +2,9 @@
 
 `analyze` reads and measures a trajectory; it must not load the simulator
 (`scenario`, `dynamics`) or the plotter (`svgplot`). The exports of
-`risktraj` resolve on first use.
+`risktraj` resolve on first use. The CLI's entry point, which the console
+script names, runs BLAS on one thread so its output does not follow the
+host's CPU count.
 """
 
 import json

@@ -159,6 +159,7 @@ class TestLoadPower:
 # The defaults over 48 s: the law does not depend on the run's length.
 SHORT_DEFAULTS = dataclasses.replace(
     default_config(), integrator=IntegratorConfig(dt=0.01, t_start=0.0, t_end=48.0))
+E_MAX = SHORT_DEFAULTS.energy.E_max
 
 
 @st.composite
@@ -167,12 +168,12 @@ def law_cases(draw):
     near the float limit, and a level E in (0, E_max)."""
     P0 = draw(st.floats(0.01, 100.0))
     shed_fraction = draw(st.floats(0.0, 1.0, exclude_max=True))
-    E = draw(st.floats(0.0, 100.0, exclude_min=True, exclude_max=True))
+    E = draw(st.floats(0.0, E_MAX, exclude_min=True, exclude_max=True))
     case_id = draw(st.sampled_from(CASE_IDS))
     if case_id == "passive":
         return case_id, PassivePolicy(P0=P0), E
     if case_id == "reactive":
-        E_on = draw(st.floats(0.0, 100.0))
+        E_on = draw(st.floats(0.0, E_MAX))
         return case_id, ReactivePolicy(P0=P0, E_on=E_on, E_off=E_on + draw(
             st.floats(0.01, 50.0)), shed_fraction=shed_fraction), E
     gain = draw(st.sampled_from([0.0, 1e308]) | st.floats(0.0, 1e3))
@@ -203,7 +204,6 @@ class TestOneLoadLaw:
     def test_rhs_load_series_and_flight_agree(self, drawn, u, shed):
         case_id, policy, E = drawn
         system = build_case(case_id, with_policies(SHORT_DEFAULTS, **{case_id: policy}))
-        assert SHORT_DEFAULTS.energy.E_max == 100.0
         load = _load_series(_load_law(policy), np.array([E]), np.array([shed]))[0]
         # with no input, inside (0, E_max) the rhs is minus the load, bit for bit
         assert (-system.rhs(E, 0.0, shed)).hex() == float(load).hex()
