@@ -73,8 +73,9 @@ def test_unknown_attribute_raises():
 
 
 def _usable_cpus():
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _child_env(**overrides):
