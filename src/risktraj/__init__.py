@@ -6,7 +6,8 @@ configurations, then quantify resilience as peak deviation, effective
 damping and cumulative impact of the resulting risk trajectory.
 
 Each exported name is imported from its submodule on first use, so a
-program that reads and analyzes trajectories never loads the simulator.
+program that reads and analyzes trajectories never loads the simulator,
+and one that builds a config loads its types (`config`) alone.
 """
 
 import importlib
@@ -16,8 +17,11 @@ __version__ = "0.1.0"
 # exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "DisturbanceSignal", "DynamicalSystem", "IntegrationResult",
-        "IntegratorConfig", "integrate", "linear_decay_system",
+        "AnticipatoryPolicy", "DisturbanceSignal", "EnergyParams", "IntegratorConfig",
+        "PassivePolicy", "ReactivePolicy", "RiskMap", "ScenarioConfig", "SolarProfile",
+    ), "config"),
+    **dict.fromkeys((
+        "DynamicalSystem", "IntegrationResult", "integrate", "linear_decay_system",
     ), "dynamics"),
     **dict.fromkeys((
         "ConfigurationError", "InsufficientRecoveryDataError",
@@ -30,9 +34,7 @@ _EXPORTS = {
     ), "metrics"),
     "CASE_IDS": "io_formats",
     **dict.fromkeys((
-        "AnticipatoryPolicy", "CaseResult", "ComparisonResult",
-        "EnergyParams", "PassivePolicy", "ReactivePolicy", "RiskMap",
-        "ScenarioConfig", "SolarProfile", "build_case", "compare_cases",
+        "CaseResult", "ComparisonResult", "build_case", "compare_cases",
         "default_config", "risk_of_energy", "run_case",
     ), "scenario"),
     **dict.fromkeys((

@@ -30,7 +30,8 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, IntegrationDivergedError, ParameterError
+from .config import MAX_STEPS, DisturbanceSignal, IntegratorConfig  # noqa: F401
+from .errors import IntegrationDivergedError, ParameterError
 from .trajectory import TimeGrid, Trajectory
 
 # Steps whose substep inputs are sampled at once: bounds the sampled
@@ -42,38 +43,6 @@ _BLOCK_STEPS = 4096
 # pass thus computes at most about twice the steps it keeps plus this
 # many, which keeps the array work linear in the run length.
 _MIN_SPAN = 64
-# Most steps one run may take; a sweep may also visit at most this many
-# values, since each value runs at least one step per case.
-MAX_STEPS = 10_000_000
-
-
-@dataclass(frozen=True)
-class DisturbanceSignal:
-    """Exogenous disturbance d(t): a rectangular pulse or nothing.
-
-    The pulse is active on the half-open window [onset, onset + duration).
-    Outside the window (and always for kind="none") evaluation returns the
-    neutral value declared by the consuming system: 0 for additive
-    coupling, 1 for multiplicative coupling.
-    """
-
-    kind: str = "none"  # "none" | "pulse"
-    onset: float = 0.0
-    duration: float = 0.0
-    magnitude: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "pulse"):
-            raise ParameterError(f"unknown disturbance kind {self.kind!r}")
-        if self.kind == "pulse" and self.duration < 0:
-            raise ParameterError(f"pulse duration must be >= 0, got {self.duration}")
-
-    def sample(self, times: np.ndarray, neutral: float) -> np.ndarray:
-        """d at each of the given times, as a float array."""
-        if self.kind == "none":
-            return np.full(times.shape, neutral, dtype=float)
-        window = (times >= self.onset) & (times < self.onset + self.duration)
-        return np.where(window, self.magnitude, neutral)
 
 
 @dataclass(frozen=True)
@@ -111,35 +80,6 @@ class DynamicalSystem:
     disturbance_neutral: float = 0.0
     forcing: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     free_flight: Mapping[Any, tuple[float, float, float]] | None = None
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step classical RK4 integration window of at most MAX_STEPS steps."""
-
-    dt: float
-    t_start: float
-    t_end: float
-
-    def __post_init__(self):
-        span = self.t_end - self.t_start
-        if not (self.dt > 0 and self.dt <= span):
-            raise ConfigurationError(
-                f"need 0 < dt <= t_end - t_start, got dt={self.dt}, span={span}"
-            )
-        if span / self.dt > MAX_STEPS:
-            raise ConfigurationError(
-                f"{span / self.dt:.3g} steps exceed the limit {MAX_STEPS}"
-            )
-
-    def n_steps(self) -> int:
-        ratio = (self.t_end - self.t_start) / self.dt
-        n = round(ratio)
-        if abs(ratio - n) > 1e-6:
-            raise ConfigurationError(
-                f"(t_end - t_start)/dt = {ratio} is not a whole number of steps"
-            )
-        return n
 
 
 @dataclass(frozen=True)
