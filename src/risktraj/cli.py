@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import math
 import sys
 import warnings
@@ -125,6 +124,8 @@ def _metrics_from_flags(args) -> MetricsConfig:
 
 
 def _cmd_analyze(args) -> int:
+    import hashlib  # loads OpenSSL, which only analyze needs here
+
     digest = hashlib.sha256()
     table = read_trajectory(args.input, digest)
     traj = table.trajectory("r")
@@ -191,7 +192,7 @@ def _cmd_compare(args) -> int:
 def _parse_range(spec: str) -> np.ndarray:
     """Sweep values of start:stop:count. Each value runs at least one step
     per case, so the count is held to the step limit MAX_STEPS."""
-    from .dynamics import MAX_STEPS
+    from .config import MAX_STEPS
 
     parts = spec.split(":")
     if len(parts) != 3:

@@ -18,7 +18,6 @@ cannot be sure to read them as Python `float` does.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import importlib
 import io
 import math
@@ -34,7 +33,7 @@ from .metrics import ResilienceReport
 from .trajectory import TimeGrid, Trajectory
 
 if TYPE_CHECKING:
-    from .scenario import ScenarioConfig
+    from .config import ScenarioConfig
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -544,7 +543,8 @@ _POLICY = "policy."
 
 # section -> (name of the dataclass it builds, its (key, attribute, kind) in
 # file order). The classes are exported by the package and looked up when a
-# config is built, so reading a trajectory never loads the simulator.
+# config is built, so reading a trajectory loads none of them, and building a
+# config loads them without the simulator.
 _CONFIG_SECTIONS = {
     "energy": ("EnergyParams", (
         ("E_max_J", "E_max", _NUMBER),
@@ -714,5 +714,7 @@ def apply_overrides(
 
 
 def config_digest(config: ScenarioConfig) -> str:
+    import hashlib  # loads OpenSSL, which a command that hashes nothing skips
+
     blob = config_to_text(config).encode()
     return "sha256:" + hashlib.sha256(blob).hexdigest()[:16]
