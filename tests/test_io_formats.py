@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from risktraj import io_formats
+from risktraj import csv_rows, io_formats
 from risktraj.dynamics import DisturbanceSignal, IntegratorConfig
 from risktraj.errors import ParameterError, RisktrajError, TableParseError
 from risktraj.io_formats import (
@@ -398,7 +398,7 @@ def reference_table_text(table: TrajectoryTable) -> str:
 
 def _assert_numpy_writes_fixed_notation(values: np.ndarray, numbers: list[str]):
     """Only the cells that `%.17g` writes in exponent notation are left to it."""
-    fallback = io_formats._format_cells(values, np.empty((len(values), 5), np.uint64))
+    fallback = csv_rows._format_cells(values, np.empty((len(values), 5), np.uint64))
     assert fallback.tolist() == ["e" in number for number in numbers]
 
 
@@ -443,7 +443,7 @@ class TestWriterMatchesPerCellFormat:
         values = bits.view(np.float64)
         values = values[np.isfinite(values)]
         numbers = ["%.17g" % v for v in values.tolist()]
-        assert "".join(io_formats._format_rows([values])) == (
+        assert "".join(csv_rows._format_rows([values])) == (
             "\n".join(numbers) + "\n")
         _assert_numpy_writes_fixed_notation(values, numbers)
 
