@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -37,6 +38,8 @@ from .io_formats import (
 from .metrics import BASELINE_MODES, MetricsConfig, assemble_report
 
 _COMPARISON_SCHEMA = "risktraj.comparison.v1"
+# a number or a range that starts with "-"
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
 
 
 def compare_cases(config, reuse=None):
@@ -321,10 +324,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads "-1:1:3" as an option, so join such a range to its flag
+    # argparse takes a value such as "-1e3", "-inf" or "-1:1:3" for an option, so
+    # join it to the option before it; after a flag argparse rejects it either way
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--range" and argv[i].startswith("-") and ":" in argv[i]:
-            argv[i - 1:i + 1] = [f"--range={argv[i]}"]
+        if argv[i - 1].startswith("--") and _NEGATIVE_VALUE.match(argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings(record=True) as caught:

@@ -181,6 +181,32 @@ class TestAnalyze:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: time nan is not finite")
 
+    def test_negative_t0_after_a_space(self, tmp_path, capsys):
+        # argparse alone reads "-1e3" after a space as an option
+        csv = tmp_path / "exp.csv"
+        t = np.arange(-2000.0, 1001.0)
+        write_trajectory(TrajectoryTable(t=t, signals={"r": np.exp(-0.01 * (t + 2000))}),
+                         csv)
+        outputs = []
+        for flags in (["--t0", "-1e3"], ["--t0=-1e3"]):
+            assert main(["analyze", str(csv), *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert report_from_text(outputs[0]).t0 == -1000.0
+        assert outputs[0] == outputs[1]
+
+    def test_negative_infinite_t0_after_a_space(self, tmp_path, capsys):
+        csv = tmp_path / "exp.csv"
+        write_exp_csv(csv)
+        assert main(["analyze", str(csv), "--t0", "-inf"]) == 1
+        assert capsys.readouterr().err == "error: time -inf is not finite\n"
+
+    def test_help_after_a_flag(self, tmp_path, capsys):
+        # only numbers and ranges are joined to the word before them
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(tmp_path / "x.csv"), "--no-tail-correction", "-h"])
+        assert exc.value.code == 0
+        assert "usage: risktraj analyze" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flags, message", [
         (["--horizon", "nan"], "horizon must be finite"),
         (["--horizon", "inf"], "horizon must be finite"),
