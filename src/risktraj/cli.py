@@ -222,14 +222,8 @@ def _cmd_sweep(args) -> int:
     _load_parser(args.config, [*overrides, f"{args.param}=0"])
     values = _parse_range(args.range)
 
-    header_cells = ["value"]
-    for case_id in CASE_IDS:
-        header_cells += [
-            f"{case_id}_r0",
-            f"{case_id}_lambda_hat",
-            f"{case_id}_impact",
-        ]
-    rows = []
+    lines = [",".join(["value"] + [f"{case_id}_{key}" for case_id in CASE_IDS
+                                   for key in ("r0", "lambda_hat", "impact")])]
     first = None  # the first value's comparison: cases it leaves unchanged are reused
     for value in values:
         parser = _load_parser(
@@ -240,14 +234,10 @@ def _cmd_sweep(args) -> int:
         cells = [format_number(value)]
         for case_id in CASE_IDS:
             rep = comparison.cases[case_id].report
-            cells.append(format_number(rep.r0))
-            cells.append(
-                "" if rep.lambda_hat is None else format_number(rep.lambda_hat)
-            )
-            cells.append(format_number(rep.impact_numeric))
-        rows.append(",".join(cells))
-    text = ",".join(header_cells) + "\n" + "\n".join(rows) + "\n"
-    Path(args.out).write_text(text, newline="\n")
+            lam = "" if rep.lambda_hat is None else format_number(rep.lambda_hat)
+            cells += [format_number(rep.r0), lam, format_number(rep.impact_numeric)]
+        lines.append(",".join(cells))
+    Path(args.out).write_text("\n".join(lines) + "\n", newline="\n")
     print(f"wrote {args.out}")
     return 0
 
