@@ -1,12 +1,16 @@
 """The package loads a submodule only when one of its names is used.
 
 `analyze` reads and measures a trajectory; it must not load the simulator
-(`scenario`, `dynamics`) or the plotter (`svgplot`). The exports of
-`risktraj` resolve on first use. The CLI's entry point, which the console
-script names, runs BLAS on one thread so its output does not follow the
-host's CPU count.
+(`scenario`, `dynamics`), the config types (`config`) or the plotter
+(`svgplot`). `emit-plot --config` builds a config without the simulator.
+The exports of `risktraj` resolve on first use. The CLI's entry point,
+which the console script names, runs BLAS on one thread so its output does
+not follow the host's CPU count; it pauses the garbage collector over its
+imports and freezes what is left at exit, and `cli.main` leaves the
+collector alone.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -17,11 +21,12 @@ import numpy as np
 import pytest
 
 import risktraj
+import risktraj.cli
 from risktraj.io_formats import TrajectoryTable, write_trajectory
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-ANALYZE_IN_A_FRESH_INTERPRETER = """
+LOADED_BY_A_COMMAND = """
 import json, sys
 import risktraj.cli
 
@@ -29,26 +34,49 @@ def loaded():
     return sorted(m for m in sys.modules if m.startswith("risktraj"))
 
 before = loaded()
-code = risktraj.cli.main(["analyze", sys.argv[1]])
+code = risktraj.cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "before": before, "after": loaded()}), file=sys.stderr)
 """
 
 
-def test_analyze_leaves_the_simulator_unloaded(tmp_path):
-    csv = tmp_path / "r.csv"
-    csv.write_text("t,r\n0,0.5\n1,0.25\n2,0.125\n3,0\n")
+def _modules_loaded_by(args):
+    """What `risktraj.cli.main(args)` prints, and the risktraj modules loaded
+    before and after it, in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", ANALYZE_IN_A_FRESH_INTERPRETER, str(csv)],
+    proc = subprocess.run([sys.executable, "-c", LOADED_BY_A_COMMAND, *args],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stderr)
-    assert result["code"] == 0
-    assert "schema = risktraj.report.v1" in proc.stdout
-    for loaded in (result["before"], result["after"]):
+    result = json.loads(proc.stderr.splitlines()[-1])
+    assert result["code"] == 0, proc.stderr
+    return proc.stdout, (result["before"], result["after"])
+
+
+def _write_short_csv(path):
+    path.write_text("t,E,r\n0,50,0.5\n1,50,0.25\n2,50,0.125\n3,50,0\n")
+    return path
+
+
+def test_analyze_leaves_the_simulator_unloaded(tmp_path):
+    csv = _write_short_csv(tmp_path / "r.csv")
+    out, modules = _modules_loaded_by(["analyze", str(csv)])
+    assert "schema = risktraj.report.v1" in out
+    for loaded in modules:
         assert "risktraj.io_formats" in loaded
         assert "risktraj.scenario" not in loaded
         assert "risktraj.dynamics" not in loaded
+        assert "risktraj.config" not in loaded
         assert "risktraj.svgplot" not in loaded
+
+
+def test_emit_plot_builds_its_config_without_the_simulator(tmp_path):
+    csv = _write_short_csv(tmp_path / "r.csv")
+    svg = tmp_path / "r.svg"
+    out, (_, after) = _modules_loaded_by(["emit-plot", str(csv), "--config", "default",
+                                          "--out", str(svg)])
+    assert out == f"wrote {svg}\n"
+    assert "risktraj.config" in after
+    assert "risktraj.scenario" not in after
+    assert "risktraj.dynamics" not in after
 
 
 def test_every_export_resolves():
@@ -141,3 +169,53 @@ def test_console_script_resolves_to_cli_main():
     result = json.loads(proc.stdout)
     assert result["is_cli_main"], result["target"]
     assert not result["scenario_loaded"]
+
+
+GC_AFTER_THE_ENTRY_POINT = """
+import gc, json, sys
+if sys.argv[1] == "off":
+    gc.disable()
+import risktraj.__main__
+print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))
+"""
+
+
+@pytest.mark.parametrize("state", ["on", "off"])
+def test_entry_point_restores_the_collector(state):
+    # the freeze is registered for exit and has not run yet
+    proc = subprocess.run([sys.executable, "-c", GC_AFTER_THE_ENTRY_POINT, state],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [state == "on", 0]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_main_leaves_the_collector_alone(tmp_path, capsys, enabled):
+    csv = _write_short_csv(tmp_path / "r.csv")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = (gc.isenabled(), gc.get_freeze_count())
+        assert risktraj.cli.main(["analyze", str(csv)]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_module_output_equals_in_process_output(tmp_path, capsys):
+    csv = _write_short_csv(tmp_path / "r.csv")
+    proc = subprocess.run([sys.executable, "-m", "risktraj", "analyze", str(csv)],
+                          capture_output=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert risktraj.cli.main(["analyze", str(csv)]) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
+def test_module_reports_bad_input_in_one_error_line(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,r\n0,1\n0.5,nan\n1,0.5\n")
+    proc = subprocess.run([sys.executable, "-m", "risktraj", "analyze", str(bad)],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
