@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .config import MAX_STEPS, DisturbanceSignal, IntegratorConfig  # noqa: F401
+from .config import MAX_STEPS, DisturbanceSignal, IntegratorConfig  # noqa: F401 (re-exported)
 from .errors import IntegrationDivergedError, ParameterError
 from .trajectory import TimeGrid, Trajectory
 

@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .config import (  # noqa: F401 (also imported from here)
+from .config import (  # noqa: F401 (re-exported)
     AnticipatoryPolicy, EnergyParams, LoadPolicy, PassivePolicy, ReactivePolicy,
     RiskMap, ScenarioConfig, SolarProfile,
 )
