@@ -10,7 +10,7 @@ import pytest
 
 import risktraj
 from risktraj.cli import _parse_range, main
-from risktraj.dynamics import MAX_STEPS
+from risktraj.config import MAX_STEPS
 from risktraj.errors import RisktrajError
 from risktraj.io_formats import (
     TrajectoryTable,

@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from risktraj.dynamics import (
-    DisturbanceSignal,
-    DynamicalSystem,
-    IntegratorConfig,
-    integrate,
-    linear_decay_system,
-)
+from risktraj.config import DisturbanceSignal, IntegratorConfig
+from risktraj.dynamics import DynamicalSystem, integrate, linear_decay_system
 from risktraj.errors import (
     ConfigurationError,
     IntegrationDivergedError,

@@ -13,16 +13,11 @@ import math
 import numpy as np
 import pytest
 
-from risktraj.dynamics import (
-    _BLOCK_STEPS,
-    DisturbanceSignal,
-    DynamicalSystem,
-    IntegratorConfig,
-    integrate,
-)
+from risktraj.config import AnticipatoryPolicy, DisturbanceSignal, IntegratorConfig
+from risktraj.dynamics import _BLOCK_STEPS, DynamicalSystem, integrate
 from risktraj.errors import IntegrationDivergedError, ParameterError
 from risktraj.io_formats import apply_overrides, config_to_parser, parser_to_config
-from risktraj.scenario import CASE_IDS, AnticipatoryPolicy, build_case, default_config
+from risktraj.scenario import CASE_IDS, build_case, default_config
 
 COARSE = "integrator.dt_s=0.02"
 # The two runs of test_compare_digests.py that sit on a storage bound.

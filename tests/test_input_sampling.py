@@ -17,20 +17,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risktraj.dynamics import DisturbanceSignal, DynamicalSystem, IntegratorConfig, integrate
-from risktraj.errors import IntegrationDivergedError
-from risktraj.metrics import MetricsConfig
-from risktraj.scenario import (
-    CASE_IDS,
+from risktraj.config import (
     AnticipatoryPolicy,
+    DisturbanceSignal,
     EnergyParams,
+    IntegratorConfig,
     PassivePolicy,
     ReactivePolicy,
     ScenarioConfig,
     SolarProfile,
-    build_case,
-    default_config,
 )
+from risktraj.dynamics import DynamicalSystem, integrate
+from risktraj.errors import IntegrationDivergedError
+from risktraj.metrics import MetricsConfig
+from risktraj.scenario import CASE_IDS, build_case, default_config
 
 # Step counts on both sides of the 4,096-step sampling block.
 STEP_COUNTS = (4095, 4096, 4097, 8193)

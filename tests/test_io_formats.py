@@ -13,7 +13,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from risktraj import csv_rows, io_formats
-from risktraj.dynamics import DisturbanceSignal, IntegratorConfig
+from risktraj.config import (
+    AnticipatoryPolicy,
+    DisturbanceSignal,
+    EnergyParams,
+    IntegratorConfig,
+    PassivePolicy,
+    ReactivePolicy,
+    ScenarioConfig,
+    SolarProfile,
+)
 from risktraj.errors import ParameterError, RisktrajError, TableParseError
 from risktraj.io_formats import (
     ReportDocument,
@@ -36,16 +45,7 @@ from risktraj.io_formats import (
     write_trajectory,
 )
 from risktraj.metrics import BASELINE_MODES, MetricsConfig, assemble_report
-from risktraj.scenario import (
-    AnticipatoryPolicy,
-    EnergyParams,
-    PassivePolicy,
-    ReactivePolicy,
-    ScenarioConfig,
-    SolarProfile,
-    default_config,
-    run_case,
-)
+from risktraj.scenario import default_config, run_case
 from risktraj.svgplot import emit_plot
 from risktraj.trajectory import TimeGrid, Trajectory
 

@@ -5,18 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risktraj.dynamics import DisturbanceSignal, IntegratorConfig
-from risktraj.errors import ConfigurationError, ParameterError
-from risktraj.metrics import MetricsConfig
-from risktraj.scenario import (
-    CASE_IDS,
+from risktraj.config import (
     AnticipatoryPolicy,
+    DisturbanceSignal,
     EnergyParams,
+    IntegratorConfig,
     PassivePolicy,
     ReactivePolicy,
     RiskMap,
     ScenarioConfig,
     SolarProfile,
+)
+from risktraj.errors import ConfigurationError, ParameterError
+from risktraj.metrics import MetricsConfig
+from risktraj.scenario import (
+    CASE_IDS,
     _load_law,
     _load_series,
     build_case,
