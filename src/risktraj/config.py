@@ -60,19 +60,18 @@ class IntegratorConfig:
             raise ConfigurationError(
                 f"need 0 < dt <= t_end - t_start, got dt={self.dt}, span={span}"
             )
-        if span / self.dt > MAX_STEPS:
+        ratio = span / self.dt
+        if ratio > MAX_STEPS:
             raise ConfigurationError(
-                f"{span / self.dt:.3g} steps exceed the limit {MAX_STEPS}"
+                f"{ratio:.3g} steps exceed the limit {MAX_STEPS}"
             )
-
-    def n_steps(self) -> int:
-        ratio = (self.t_end - self.t_start) / self.dt
-        n = round(ratio)
-        if abs(ratio - n) > 1e-6:
+        if abs(ratio - round(ratio)) > 1e-6:
             raise ConfigurationError(
                 f"(t_end - t_start)/dt = {ratio} is not a whole number of steps"
             )
-        return n
+
+    def n_steps(self) -> int:
+        return round((self.t_end - self.t_start) / self.dt)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from risktraj.cli import _parse_range, main
 from risktraj.config import MAX_STEPS
 from risktraj.errors import RisktrajError
 from risktraj.io_formats import (
+    DEFAULT_CONFIG_PATH,
     TrajectoryTable,
     read_report,
     read_trajectory,
@@ -455,6 +456,19 @@ class TestEmitPlot:
         text = fig.read_text()
         assert text.count("<polyline") == 4
         assert "passive_trajectory" in text
+
+    def test_config_with_a_partial_step(self, tmp_path, capsys):
+        assert main(["simulate", "--case", "passive", "--out", str(tmp_path), *FAST]) == 0
+        ini = tmp_path / "partial.ini"
+        ini.write_text(DEFAULT_CONFIG_PATH.read_text().replace(
+            "dt_s = 0.005", "dt_s = 0.007"))
+        fig = tmp_path / "fig.svg"
+        code = main(["emit-plot", str(tmp_path / "passive_trajectory.csv"),
+                     "--config", str(ini), "--out", str(fig)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: (t_end - t_start)/dt = ") and err.count("\n") == 1
+        assert not fig.exists()
 
     def test_label_with_markup_characters(self, tmp_path):
         assert main(["simulate", "--case", "passive", "--out", str(tmp_path), *FAST]) == 0
