@@ -9,12 +9,12 @@ for identical inputs.
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import re
 import sys
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from .io_formats import (
     write_trajectory,
 )
 from .metrics import BASELINE_MODES, MetricsConfig, assemble_report
+
+if TYPE_CHECKING:
+    import configparser
 
 _COMPARISON_SCHEMA = "risktraj.comparison.v1"
 # a number or a range that starts with "-"

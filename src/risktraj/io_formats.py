@@ -17,7 +17,6 @@ cannot be sure to read them as Python `float` does.
 
 from __future__ import annotations
 
-import configparser
 import importlib
 import io
 import math
@@ -33,6 +32,8 @@ from .metrics import ResilienceReport
 from .trajectory import TimeGrid, Trajectory
 
 if TYPE_CHECKING:
+    import configparser
+
     from .config import ScenarioConfig
 
 ARTIFACT_VERSION = "0.1.0"
@@ -470,6 +471,8 @@ def _exported(name: str):
 
 def _config_parser() -> configparser.ConfigParser:
     """An empty ConfigParser: no interpolation, keys kept as written."""
+    import configparser  # loaded only where a config is read or written
+
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     return parser
@@ -536,6 +539,8 @@ def write_scenario_config(config: ScenarioConfig, destination) -> None:
 
 def read_config_parser(source) -> configparser.ConfigParser:
     """Parse an INI config file; malformed or undecodable text is a TableParseError."""
+    import configparser
+
     parser = _config_parser()
     try:
         with open(source) as fh:

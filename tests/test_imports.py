@@ -1,13 +1,13 @@
 """The package loads a submodule only when one of its names is used.
 
 `analyze` reads and measures a trajectory; it must not load the simulator
-(`scenario`, `dynamics`), the config types (`config`) or the plotter
-(`svgplot`). `emit-plot --config` builds a config without the simulator.
-The exports of `risktraj` resolve on first use. The CLI's entry point,
-which the console script names, runs BLAS on one thread so its output does
-not follow the host's CPU count; it pauses the garbage collector over its
-imports and freezes what is left at exit, and `cli.main` leaves the
-collector alone.
+(`scenario`, `dynamics`), the config types (`config`), the plotter
+(`svgplot`) or `configparser`. `emit-plot --config` builds a config
+without the simulator. The exports of `risktraj` resolve on first use.
+The CLI's entry point, which the console script names, runs BLAS on one
+thread so its output does not follow the host's CPU count; it pauses the
+garbage collector over its imports and freezes what is left at exit, and
+`cli.main` leaves the collector alone.
 """
 
 import gc
@@ -31,7 +31,8 @@ import json, sys
 import risktraj.cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("risktraj"))
+    return sorted(m for m in sys.modules
+                  if m.startswith("risktraj") or m == "configparser")
 
 before = loaded()
 code = risktraj.cli.main(sys.argv[1:])
@@ -40,8 +41,8 @@ print(json.dumps({"code": code, "before": before, "after": loaded()}), file=sys.
 
 
 def _modules_loaded_by(args):
-    """What `risktraj.cli.main(args)` prints, and the risktraj modules loaded
-    before and after it, in a fresh interpreter."""
+    """What `risktraj.cli.main(args)` prints, and the risktraj modules (and
+    configparser) loaded before and after it, in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", LOADED_BY_A_COMMAND, *args],
                           capture_output=True, text=True, env=env, timeout=60)
@@ -66,6 +67,7 @@ def test_analyze_leaves_the_simulator_unloaded(tmp_path):
         assert "risktraj.dynamics" not in loaded
         assert "risktraj.config" not in loaded
         assert "risktraj.svgplot" not in loaded
+        assert "configparser" not in loaded
 
 
 def test_emit_plot_builds_its_config_without_the_simulator(tmp_path):
