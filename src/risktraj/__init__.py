@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 # exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "AnticipatoryPolicy", "DisturbanceSignal", "EnergyParams", "IntegratorConfig",
-        "PassivePolicy", "ReactivePolicy", "RiskMap", "ScenarioConfig", "SolarProfile",
+        "DisturbanceSignal", "EnergyParams", "IntegratorConfig", "LoadPolicy",
+        "RiskMap", "ScenarioConfig", "SolarProfile",
     ), "config"),
     **dict.fromkeys((
         "DynamicalSystem", "IntegrationResult", "integrate", "linear_decay_system",

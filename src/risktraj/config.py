@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
+from .io_formats import CASE_IDS
 from .metrics import MetricsConfig
 
 # Most steps one run may take; a sweep may also visit at most this many
@@ -48,7 +49,8 @@ class DisturbanceSignal:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step classical RK4 integration window of at most MAX_STEPS steps."""
+    """Fixed-step classical RK4 integration window: a whole number of steps,
+    at most MAX_STEPS."""
 
     dt: float
     t_start: float
@@ -132,66 +134,42 @@ class RiskMap:
 
 
 @dataclass(frozen=True)
-class PassivePolicy:
-    """Case 1: constant consumption, no stabilisation mechanism."""
+class LoadPolicy:
+    """One load law; the three structural cases are points of it.
 
-    P0: float  # base load (W)
-
-    def __post_init__(self):
-        if self.P0 <= 0.0:
-            raise ParameterError(f"P0 must be > 0, got {self.P0}")
-
-
-@dataclass(frozen=True)
-class ReactivePolicy:
-    """Case 2: hysteresis load shedding once energy has already declined.
-
-    Shedding engages when E drops below E_on and releases when E rises
-    above E_off; the separated thresholds prevent chattering under the
-    oscillating input.
+    The load is P0, or floor = P0*(1 - shed_fraction) while shedding, less
+    gain per J of shortfall below E_target, held in [floor, P0]. Shedding
+    follows a hysteresis band (engage below E_on, release above E_off) or
+    a forecast: the level projected over horizon, on the undisturbed input
+    and base load, falls below E_target. Each default leaves its term
+    inert, so LoadPolicy(P0) is passive (constant load); the reactive case
+    sets a band, the anticipatory one a horizon and feedback.
     """
 
-    P0: float             # base load (W)
-    E_on: float           # shed-engage threshold (J)
-    E_off: float          # shed-release threshold (J)
-    shed_fraction: float  # fraction of P0 dropped while shedding (0 = no-op)
+    P0: float                     # base load (W)
+    shed_fraction: float = 0.0    # fraction of P0 dropped while shedding
+    E_on: float = -math.inf       # shed-engage threshold (J)
+    E_off: float = -math.inf      # shed-release threshold (J)
+    horizon: float | None = None  # forecast horizon (s)
+    E_target: float = -math.inf   # projected-energy and feedback target (J)
+    gain: float = 0.0             # proportional feedback gain (W per J of shortfall)
 
     def __post_init__(self):
-        if self.P0 <= 0.0:
+        if not self.P0 > 0.0:
             raise ParameterError(f"P0 must be > 0, got {self.P0}")
-        if not self.E_on < self.E_off:
+        if self.E_on != -math.inf and not self.E_on < self.E_off:
             raise ParameterError(
                 f"hysteresis band requires E_on < E_off, got "
                 f"E_on={self.E_on}, E_off={self.E_off}"
             )
-        if not 0.0 <= self.shed_fraction < 1.0:
-            raise ParameterError(
-                f"shed_fraction must be in [0, 1), got {self.shed_fraction}"
-            )
-
-
-@dataclass(frozen=True)
-class AnticipatoryPolicy:
-    """Case 3: forecast-based early shedding plus proportional feedback.
-
-    The controller projects the energy level over the horizon assuming the
-    undisturbed input profile and base load; it sheds proactively when the
-    projection falls below E_target and additionally reduces load in
-    proportion to the current shortfall below E_target. Delivered load is
-    always within [P0*(1-shed_fraction), P0].
-    """
-
-    P0: float             # base load (W)
-    horizon: float        # forecast horizon (s)
-    E_target: float       # projected-energy target (J)
-    shed_fraction: float  # maximum fractional reduction (0 = no-op)
-    gain: float           # proportional feedback gain (W per J of shortfall)
-
-    def __post_init__(self):
-        if self.P0 <= 0.0:
-            raise ParameterError(f"P0 must be > 0, got {self.P0}")
-        if self.horizon <= 0.0:
-            raise ParameterError(f"horizon must be > 0, got {self.horizon}")
+        if self.horizon is not None:
+            if not self.horizon > 0.0:
+                raise ParameterError(f"horizon must be > 0, got {self.horizon}")
+            if self.E_on != -math.inf:
+                raise ParameterError(
+                    f"a policy sheds on a band or on a forecast, not both; got "
+                    f"E_on={self.E_on}, horizon={self.horizon}"
+                )
         if not 0.0 <= self.shed_fraction < 1.0:
             raise ParameterError(
                 f"shed_fraction must be in [0, 1), got {self.shed_fraction}"
@@ -199,11 +177,9 @@ class AnticipatoryPolicy:
         if not 0.0 <= self.gain < math.inf:
             raise ParameterError(f"gain must be finite and >= 0, got {self.gain}")
 
-
-LoadPolicy = Union[PassivePolicy, ReactivePolicy, AnticipatoryPolicy]
-
-_POLICY_TYPES = {"passive": PassivePolicy, "reactive": ReactivePolicy,
-                 "anticipatory": AnticipatoryPolicy}
+    @property
+    def floor(self) -> float:
+        return self.P0 * (1.0 - self.shed_fraction)
 
 
 @dataclass(frozen=True)
@@ -224,15 +200,9 @@ class ScenarioConfig:
     metrics: MetricsConfig
 
     def __post_init__(self):
-        for case_id, policy in self.policies.items():
-            expected = _POLICY_TYPES.get(case_id)
-            if expected is None:
+        for case_id in self.policies:
+            if case_id not in CASE_IDS:
                 raise ConfigurationError(f"unknown case id {case_id!r}")
-            if not isinstance(policy, expected):
-                raise ConfigurationError(
-                    f"policy for case {case_id!r} is {type(policy).__name__}, "
-                    f"expected {expected.__name__}"
-                )
         d = self.disturbance
         if d.kind == "pulse":
             if not 0.0 <= d.magnitude <= 1.0:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from .errors import ParameterError, TableParseError
+from .errors import ConfigurationError, ParameterError, TableParseError
 from .metrics import ResilienceReport
 from .trajectory import TimeGrid, Trajectory
 
@@ -424,16 +424,16 @@ _CONFIG_SECTIONS = {
         ("duration_s", "duration", _NUMBER),
         ("magnitude", "magnitude", _NUMBER),
     )),
-    "policy.passive": ("PassivePolicy", (
+    "policy.passive": ("LoadPolicy", (
         ("P0_W", "P0", _NUMBER),
     )),
-    "policy.reactive": ("ReactivePolicy", (
+    "policy.reactive": ("LoadPolicy", (
         ("P0_W", "P0", _NUMBER),
         ("E_on_J", "E_on", _NUMBER),
         ("E_off_J", "E_off", _NUMBER),
         ("shed_fraction", "shed_fraction", _NUMBER),
     )),
-    "policy.anticipatory": ("AnticipatoryPolicy", (
+    "policy.anticipatory": ("LoadPolicy", (
         ("P0_W", "P0", _NUMBER),
         ("horizon_s", "horizon", _NUMBER),
         ("E_target_J", "E_target", _NUMBER),
@@ -494,8 +494,12 @@ def config_to_parser(config: ScenarioConfig) -> configparser.ConfigParser:
     for section, (_, keys) in _CONFIG_SECTIONS.items():
         part = _config_part(config, section)
         if part is not None:
+            listed = {attr: getattr(part, attr) for _, attr, _ in keys}
+            # the written file would drop a field its section has no key for
+            if type(part)(**listed) != part:
+                raise ConfigurationError(f"[{section}] lacks a key that {part!r} sets")
             parser[section] = {
-                key: _format_value(getattr(part, attr), kind, _shortest_number)
+                key: _format_value(listed[attr], kind, _shortest_number)
                 for key, attr, kind in keys
             }
     return parser

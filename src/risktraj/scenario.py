@@ -18,10 +18,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .config import (  # noqa: F401 (re-exported)
-    AnticipatoryPolicy, EnergyParams, LoadPolicy, PassivePolicy, ReactivePolicy,
-    RiskMap, ScenarioConfig, SolarProfile,
-)
+from .config import LoadPolicy, RiskMap, ScenarioConfig, SolarProfile
 from .dynamics import DynamicalSystem, integrate
 from .errors import ConfigurationError
 from .io_formats import CASE_IDS, DEFAULT_CONFIG_PATH, read_scenario_config
@@ -99,59 +96,33 @@ class SolarEnergyTable:
         return self.cumulative(t2) - self.cumulative(t1)
 
 
-@dataclass(frozen=True)
-class _LoadLaw:
-    """Load P0, or floor while shedding, less gain per J below E_target, in
-    [floor, P0]; sheds on hysteresis (E_on, E_off) or the forecast over horizon."""
-
-    P0: float
-    floor: float
-    gain: float = 0.0
-    E_target: float = -math.inf
-    E_on: float = -math.inf
-    E_off: float = -math.inf
-    horizon: float | None = None
-
-
-def _load_law(policy: LoadPolicy) -> _LoadLaw:
-    """The one place that tells policy types apart. A passive policy never
-    sheds; gain 0 makes the proportional term exactly 0.0."""
-    if isinstance(policy, PassivePolicy):
-        return _LoadLaw(policy.P0, policy.P0)
-    floor = policy.P0 * (1.0 - policy.shed_fraction)
-    if isinstance(policy, ReactivePolicy):
-        return _LoadLaw(policy.P0, floor, E_on=policy.E_on, E_off=policy.E_off)
-    return _LoadLaw(policy.P0, floor, policy.gain, policy.E_target,
-                    horizon=policy.horizon)
-
-
-def _shed_law(law: _LoadLaw, config: ScenarioConfig):
-    """Shedding-flag update (k, E, prev) -> bool of one law.
+def _shed_law(policy: LoadPolicy, config: ScenarioConfig):
+    """Shedding-flag update (k, E, prev) -> bool of one policy.
 
     k is a grid index and E the level there, or a slice of indices and
     the array of levels at them (free flight); each rule serves both.
     The forecast adds the undisturbed input energy over [t, t + horizon],
     looked up once on the grid and read at k.
     """
-    if law.horizon is None:
-        E_on, E_off = law.E_on, law.E_off
+    if policy.horizon is None:
+        E_on, E_off = policy.E_on, policy.E_off
 
         def hysteresis(_k, E, prev):
             # True below E_on, False above E_off, prev in between
             return (E < E_on) | (prev & (E <= E_off))
 
         return hysteresis
-    spent = law.P0 * law.horizon
-    E_target = law.E_target
+    spent = policy.P0 * policy.horizon
+    E_target = policy.E_target
     integ = config.integrator
     times = TimeGrid(integ.t_start, integ.dt, integ.n_steps() + 1).times()
     with np.errstate(over="ignore", invalid="ignore"):
-        inflow = SolarEnergyTable(config.solar).between(times, times + law.horizon)
+        inflow = SolarEnergyTable(config.solar).between(times, times + policy.horizon)
     # inf - inf would make the forecast NaN, which never sheds
     if not (math.isfinite(spent) and np.isfinite(inflow).all()):
         raise ConfigurationError(
             "the energy forecast over [policy.anticipatory] horizon_s = "
-            f"{law.horizon} is not finite; lower it, P0_W or [solar] P_peak_W"
+            f"{policy.horizon} is not finite; lower it, P0_W or [solar] P_peak_W"
         )
 
     def forecast_short(k, E, _prev):
@@ -160,10 +131,10 @@ def _shed_law(law: _LoadLaw, config: ScenarioConfig):
     return forecast_short
 
 
-def _rhs_law(law: _LoadLaw, E_max: float) -> Callable[[float, float, bool], float]:
-    """RK4 right-hand side (E, u, shed) -> dE/dt of one law, u being the
+def _rhs_law(policy: LoadPolicy, E_max: float) -> Callable[[float, float, bool], float]:
+    """RK4 right-hand side (E, u, shed) -> dE/dt of one policy, u being the
     sampled input P_in*d. Net inflow is zeroed at the saturated bounds."""
-    P0, floor, gain, E_target = law.P0, law.floor, law.gain, law.E_target
+    P0, floor, gain, E_target = policy.P0, policy.floor, policy.gain, policy.E_target
 
     def rhs(E: float, u: float, shed: bool) -> float:
         # min/max spelled as comparisons: same values, half the call cost
@@ -178,13 +149,13 @@ def _rhs_law(law: _LoadLaw, E_max: float) -> Callable[[float, float, bool], floa
     return rhs
 
 
-def _load_series(law: _LoadLaw, E: np.ndarray, shed: np.ndarray) -> np.ndarray:
+def _load_series(policy: LoadPolicy, E: np.ndarray, shed: np.ndarray) -> np.ndarray:
     """_rhs_law's load over recorded arrays; the same values, sample by sample."""
-    base = np.where(shed, law.floor, law.P0)
+    base = np.where(shed, policy.floor, policy.P0)
     # a huge gain overflows to -inf, which clips to the floor as in the law
     with np.errstate(over="ignore"):
-        raw = base - law.gain * np.maximum(0.0, law.E_target - E)
-    return np.clip(raw, law.floor, law.P0)
+        raw = base - policy.gain * np.maximum(0.0, policy.E_target - E)
+    return np.clip(raw, policy.floor, policy.P0)
 
 
 def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
@@ -203,14 +174,13 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
     if policy is None:
         raise ConfigurationError(f"config carries no policy for case {case_id!r}")
 
-    law = _load_law(policy)
     solar = config.solar
     E_max = config.energy.E_max
     rmap = config.risk_map()
     # Inside (lo, E_max) nothing clamps and E > E_target zeroes the
     # proportional term, so dE/dt = u - load.
-    lo = max(0.0, law.E_target)
-    flight = {False: (law.P0, lo, E_max), True: (law.floor, lo, E_max)}
+    lo = max(0.0, policy.E_target)
+    flight = {False: (policy.P0, lo, E_max), True: (policy.floor, lo, E_max)}
 
     def project(E):
         # E is a float or a length-1 array (clipped elementwise); NaN
@@ -222,9 +192,9 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
         return 0.0 if E < 0.0 else E_max if E > E_max else E
 
     return DynamicalSystem(
-        rhs=_rhs_law(law, E_max),
+        rhs=_rhs_law(policy, E_max),
         output_map=lambda E: risk_of_energy(E, rmap),
-        mode_update=_shed_law(law, config),
+        mode_update=_shed_law(policy, config),
         mode_init=False,
         project=project,
         disturbance_neutral=1.0,
@@ -279,9 +249,8 @@ def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
         * d.sample(times, system.disturbance_neutral),
     )
 
-    law = _load_law(config.policies[case_id])
     shed = np.array(result.modes, dtype=bool)
-    p_load = Trajectory(grid, _load_series(law, energy.values, shed))
+    p_load = Trajectory(grid, _load_series(config.policies[case_id], energy.values, shed))
 
     t0 = d.onset if d.kind == "pulse" else config.integrator.t_start
     report = assemble_report(risk, t0, config.metrics)

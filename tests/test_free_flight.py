@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from risktraj.config import AnticipatoryPolicy, DisturbanceSignal, IntegratorConfig
+from risktraj.config import DisturbanceSignal, IntegratorConfig, LoadPolicy
 from risktraj.dynamics import _BLOCK_STEPS, DynamicalSystem, integrate
 from risktraj.errors import IntegrationDivergedError, ParameterError
 from risktraj.io_formats import apply_overrides, config_to_parser, parser_to_config
@@ -152,5 +152,5 @@ def test_step_that_leaves_is_projected():
 def test_anticipatory_gain_must_be_finite(gain):
     # inf * 0 is NaN, so an infinite gain would break rhs == u - load
     with pytest.raises(ParameterError, match="gain"):
-        AnticipatoryPolicy(P0=2.0, horizon=6.0, E_target=40.0, shed_fraction=0.5,
-                           gain=gain)
+        LoadPolicy(P0=2.0, horizon=6.0, E_target=40.0, shed_fraction=0.5,
+                   gain=gain)

@@ -18,12 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risktraj.config import (
-    AnticipatoryPolicy,
     DisturbanceSignal,
     EnergyParams,
     IntegratorConfig,
-    PassivePolicy,
-    ReactivePolicy,
+    LoadPolicy,
     ScenarioConfig,
     SolarProfile,
 )
@@ -93,13 +91,13 @@ def reference_case(case_id, config):
         s = math.sin(two_pi * t / period)
         return P_peak * s ** shape if s > 0.0 else 0.0
 
-    if isinstance(policy, PassivePolicy):
+    if case_id == "passive":
         def load(_E, _shed):
             return P0
 
         def shed_law(_t, _E, _prev):
             return False
-    elif isinstance(policy, ReactivePolicy):
+    elif case_id == "reactive":
         floor = P0 * (1.0 - policy.shed_fraction)
 
         def load(_E, shed):
@@ -190,11 +188,11 @@ def scenario_runs(draw):
             P_peak=draw(st.floats(0.5, 30.0)), period=draw(st.floats(0.3, 40.0)),
             shape_exponent=draw(st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0]))),
         policies={
-            "passive": PassivePolicy(P0=P0),
-            "reactive": ReactivePolicy(
+            "passive": LoadPolicy(P0=P0),
+            "reactive": LoadPolicy(
                 P0=P0, E_on=draw(st.floats(5.0, 45.0)), E_off=draw(st.floats(50.0, 95.0)),
                 shed_fraction=shed_fraction),
-            "anticipatory": AnticipatoryPolicy(
+            "anticipatory": LoadPolicy(
                 P0=P0, horizon=draw(st.floats(0.5, 12.0)),
                 E_target=draw(st.floats(10.0, 90.0)), shed_fraction=shed_fraction,
                 gain=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0))),

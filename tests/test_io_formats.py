@@ -14,12 +14,10 @@ from hypothesis import strategies as st
 
 from risktraj import csv_rows, io_formats
 from risktraj.config import (
-    AnticipatoryPolicy,
     DisturbanceSignal,
     EnergyParams,
     IntegratorConfig,
-    PassivePolicy,
-    ReactivePolicy,
+    LoadPolicy,
     ScenarioConfig,
     SolarProfile,
 )
@@ -801,13 +799,13 @@ def scenario_configs(draw):
     e_min, e_ref, e_max = sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=3,
                                                max_size=3, unique=True)))
     policies = {
-        "passive": PassivePolicy(P0=pos()),
-        "reactive": ReactivePolicy(P0=pos(), E_on=e_min, E_off=e_max,
-                                   shed_fraction=unit()),
-        "anticipatory": AnticipatoryPolicy(P0=pos(), horizon=pos(),
-                                           E_target=draw(st.floats(-1e6, 1e6)),
-                                           shed_fraction=unit(),
-                                           gain=draw(st.floats(0.0, 1e3))),
+        "passive": LoadPolicy(P0=pos()),
+        "reactive": LoadPolicy(P0=pos(), E_on=e_min, E_off=e_max,
+                               shed_fraction=unit()),
+        "anticipatory": LoadPolicy(P0=pos(), horizon=pos(),
+                                   E_target=draw(st.floats(-1e6, 1e6)),
+                                   shed_fraction=unit(),
+                                   gain=draw(st.floats(0.0, 1e3))),
     }
     cases = draw(st.sets(st.sampled_from(sorted(policies)), min_size=1))
     t_start = draw(st.floats(-1e3, 1e3))

@@ -6,21 +6,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risktraj.config import (
-    AnticipatoryPolicy,
     DisturbanceSignal,
     EnergyParams,
     IntegratorConfig,
-    PassivePolicy,
-    ReactivePolicy,
+    LoadPolicy,
     RiskMap,
     ScenarioConfig,
     SolarProfile,
 )
 from risktraj.errors import ConfigurationError, ParameterError
+from risktraj.io_formats import config_to_text
 from risktraj.metrics import MetricsConfig
 from risktraj.scenario import (
     CASE_IDS,
-    _load_law,
     _load_series,
     build_case,
     compare_cases,
@@ -48,13 +46,12 @@ def solar_input(t, profile, disturbance):
 
 
 def load_power(k, E, prev_shedding, policy, solar):
-    """Delivered load and updated shedding flag of one policy at grid index k."""
-    case_id = {PassivePolicy: "passive", ReactivePolicy: "reactive",
-               AnticipatoryPolicy: "anticipatory"}[type(policy)]
+    """Delivered load and updated shedding flag of one policy at grid index k;
+    any case runs any policy."""
     config = with_policies(
-        dataclasses.replace(default_config(), solar=solar), **{case_id: policy})
-    shed = build_case(case_id, config).mode_update(k, E, prev_shedding)
-    load = _load_series(_load_law(policy), np.array([E]), np.array([shed]))
+        dataclasses.replace(default_config(), solar=solar), passive=policy)
+    shed = build_case("passive", config).mode_update(k, E, prev_shedding)
+    load = _load_series(policy, np.array([E]), np.array([shed]))
     return float(load[0]), shed
 
 
@@ -108,12 +105,12 @@ class TestSolarInput:
 
 class TestLoadPower:
     def test_passive_always_base_load(self):
-        policy = PassivePolicy(P0=4.0)
+        policy = LoadPolicy(P0=4.0)
         for E, prev in ((0.0, True), (100.0, False)):
             assert load_power(0, E, prev, policy, SOLAR_K1) == (4.0, False)
 
     def test_reactive_two_step_trace(self):
-        policy = ReactivePolicy(P0=4.0, E_on=35.0, E_off=48.0, shed_fraction=0.5)
+        policy = LoadPolicy(P0=4.0, E_on=35.0, E_off=48.0, shed_fraction=0.5)
         # engage below E_on
         p1, shed1 = load_power(0, 30.0, False, policy, SOLAR_K1)
         assert (p1, shed1) == (2.0, True)
@@ -128,7 +125,7 @@ class TestLoadPower:
         assert (p4, shed4) == (4.0, False)
 
     def test_anticipatory_inactive_in_good_conditions(self):
-        policy = AnticipatoryPolicy(
+        policy = LoadPolicy(
             P0=2.0, horizon=24.0, E_target=40.0, shed_fraction=0.5, gain=0.5
         )
         # full-period forecast: mean input (10/pi) exceeds P0, E well above target
@@ -136,7 +133,7 @@ class TestLoadPower:
         assert p == 2.0 and not shed
 
     def test_anticipatory_proportional_reduction_clamped(self):
-        policy = AnticipatoryPolicy(
+        policy = LoadPolicy(
             P0=2.0, horizon=24.0, E_target=40.0, shed_fraction=0.5, gain=0.5
         )
         p_mid, _ = load_power(0, 39.0, False, policy, SOLAR_K1)
@@ -146,17 +143,19 @@ class TestLoadPower:
 
     def test_policy_validation(self):
         with pytest.raises(ParameterError):
-            ReactivePolicy(P0=4.0, E_on=50.0, E_off=40.0, shed_fraction=0.5)
+            LoadPolicy(P0=4.0, E_on=50.0, E_off=40.0, shed_fraction=0.5)
         with pytest.raises(ParameterError):
-            ReactivePolicy(P0=4.0, E_on=30.0, E_off=40.0, shed_fraction=1.0)
+            LoadPolicy(P0=4.0, E_on=30.0, E_off=40.0, shed_fraction=1.0)
         with pytest.raises(ParameterError):
-            AnticipatoryPolicy(P0=4.0, horizon=0.0, E_target=40.0,
-                               shed_fraction=0.5, gain=0.1)
+            LoadPolicy(P0=4.0, horizon=0.0, E_target=40.0,
+                       shed_fraction=0.5, gain=0.1)
         with pytest.raises(ParameterError):
-            AnticipatoryPolicy(P0=4.0, horizon=6.0, E_target=40.0,
-                               shed_fraction=0.5, gain=-0.1)
+            LoadPolicy(P0=4.0, horizon=6.0, E_target=40.0,
+                       shed_fraction=0.5, gain=-0.1)
         with pytest.raises(ParameterError):
-            PassivePolicy(P0=0.0)
+            LoadPolicy(P0=0.0)
+        with pytest.raises(ParameterError, match="not both"):
+            LoadPolicy(P0=4.0, E_on=30.0, E_off=40.0, horizon=6.0)
 
 
 # The defaults over 48 s: the law does not depend on the run's length.
@@ -167,32 +166,33 @@ E_MAX = SHORT_DEFAULTS.energy.E_max
 
 @st.composite
 def law_cases(draw):
-    """(case id, policy, E): any policy kind, a gain of 0, moderate or
-    near the float limit, and a level E in (0, E_max)."""
+    """(policy, E): one policy that sheds on a band, on a forecast or never,
+    with a gain of 0, moderate or near the float limit, any E_target, and
+    a level E in (0, E_max)."""
     P0 = draw(st.floats(0.01, 100.0))
     shed_fraction = draw(st.floats(0.0, 1.0, exclude_max=True))
     E = draw(st.floats(0.0, E_MAX, exclude_min=True, exclude_max=True))
-    case_id = draw(st.sampled_from(CASE_IDS))
-    if case_id == "passive":
-        return case_id, PassivePolicy(P0=P0), E
-    if case_id == "reactive":
+    trigger = draw(st.sampled_from(["band", "forecast", "never"]))
+    if trigger == "band":
         E_on = draw(st.floats(0.0, E_MAX))
-        return case_id, ReactivePolicy(P0=P0, E_on=E_on, E_off=E_on + draw(
-            st.floats(0.01, 50.0)), shed_fraction=shed_fraction), E
+        sheds = {"E_on": E_on, "E_off": E_on + draw(st.floats(0.01, 50.0))}
+    elif trigger == "forecast":
+        sheds = {"horizon": draw(st.floats(0.1, 24.0))}
+    else:
+        sheds = {}
     gain = draw(st.sampled_from([0.0, 1e308]) | st.floats(0.0, 1e3))
-    E_target = draw(st.floats(-50.0, 150.0))
+    E_target = draw(st.just(-np.inf) | st.floats(-50.0, 150.0))
     if gain and draw(st.booleans()):
         # a shortfall under P0*shed_fraction/gain: the proportional band,
         # where an unshed load lies strictly between floor and P0
         E_target = E + draw(st.floats(0.0, 1.0)) * min(P0 * shed_fraction / gain, 50.0)
-    return case_id, AnticipatoryPolicy(
-        P0=P0, horizon=draw(st.floats(0.1, 24.0)), E_target=E_target,
-        shed_fraction=shed_fraction, gain=gain), E
+    return LoadPolicy(P0=P0, shed_fraction=shed_fraction, E_target=E_target,
+                      gain=gain, **sheds), E
 
 
 def _anticipatory(gain):
-    return AnticipatoryPolicy(P0=2.75, horizon=3.0, E_target=48.0, shed_fraction=0.5,
-                              gain=gain)
+    return LoadPolicy(P0=2.75, horizon=3.0, E_target=48.0, shed_fraction=0.5,
+                      gain=gain)
 
 
 class TestOneLoadLaw:
@@ -202,12 +202,13 @@ class TestOneLoadLaw:
     @given(law_cases(), st.floats(-1e3, 1e3), st.booleans())
     # inside the proportional band (load 2.25 W), and an overflow to -inf
     # that clips to the floor
-    @example(("anticipatory", _anticipatory(1.0), 47.5), 1.0, False)
-    @example(("anticipatory", _anticipatory(1e308), 40.0), 1.0, False)
+    @example((_anticipatory(1.0), 47.5), 1.0, False)
+    @example((_anticipatory(1e308), 40.0), 1.0, False)
     def test_rhs_load_series_and_flight_agree(self, drawn, u, shed):
-        case_id, policy, E = drawn
-        system = build_case(case_id, with_policies(SHORT_DEFAULTS, **{case_id: policy}))
-        load = _load_series(_load_law(policy), np.array([E]), np.array([shed]))[0]
+        policy, E = drawn
+        # any case runs any policy
+        system = build_case("reactive", with_policies(SHORT_DEFAULTS, reactive=policy))
+        load = _load_series(policy, np.array([E]), np.array([shed]))[0]
         # with no input, inside (0, E_max) the rhs is minus the load, bit for bit
         assert (-system.rhs(E, 0.0, shed)).hex() == float(load).hex()
         flight_load, lo, hi = system.free_flight[shed]
@@ -225,11 +226,17 @@ class TestEnergyParams:
 
 
 class TestScenarioConfigValidation:
-    def test_policy_variant_mismatch(self):
-        config = default_config()
-        with pytest.raises(ConfigurationError):
-            with_policies(config, passive=ReactivePolicy(
-                P0=2.75, E_on=35.0, E_off=48.0, shed_fraction=0.5))
+    def test_policy_field_its_section_lacks(self):
+        # each record runs, but its [policy.<case>] section cannot hold it
+        unlisted = {"passive": {"shed_fraction": 0.5}, "reactive": {"gain": 0.5},
+                    "anticipatory": {"E_off": 60.0}}
+        for case_id, field in unlisted.items():
+            policy = dataclasses.replace(SHORT_DEFAULTS.policies[case_id], **field)
+            config = with_policies(SHORT_DEFAULTS, **{case_id: policy})
+            assert run_case(case_id, config).report.r0 > 0.0
+            with pytest.raises(ConfigurationError,
+                               match=rf"^\[policy\.{case_id}\] lacks a key"):
+                config_to_text(config)
 
     def test_magnitude_range(self):
         config = default_config()
@@ -260,7 +267,7 @@ def balanced_flat_config():
     return ScenarioConfig(
         energy=EnergyParams(E_max=100.0, E_min=15.0, E_init=45.0, E_ref=45.0),
         solar=SolarProfile(P_peak=2.75, period=6.0, shape_exponent=0.0),
-        policies={"passive": PassivePolicy(P0=2.75)},
+        policies={"passive": LoadPolicy(P0=2.75)},
         disturbance=NO_DIST,
         integrator=IntegratorConfig(dt=0.01, t_start=0.0, t_end=30.0),
         metrics=MetricsConfig(),
@@ -344,10 +351,10 @@ class TestRunCase:
         )
         varied = with_policies(
             short,
-            reactive=ReactivePolicy(P0=2.75, E_on=20.0, E_off=90.0,
-                                    shed_fraction=0.9),
-            anticipatory=AnticipatoryPolicy(P0=2.75, horizon=12.0, E_target=10.0,
-                                            shed_fraction=0.9, gain=3.0),
+            reactive=LoadPolicy(P0=2.75, E_on=20.0, E_off=90.0,
+                                shed_fraction=0.9),
+            anticipatory=LoadPolicy(P0=2.75, horizon=12.0, E_target=10.0,
+                                    shed_fraction=0.9, gain=3.0),
         )
         a = run_case("passive", short)
         b = run_case("passive", varied)
@@ -361,10 +368,10 @@ class TestCompareCases:
         p0 = 2.75
         degenerate = with_policies(
             config,
-            reactive=ReactivePolicy(P0=p0, E_on=35.0, E_off=48.0,
-                                    shed_fraction=0.0),
-            anticipatory=AnticipatoryPolicy(P0=p0, horizon=6.0, E_target=48.0,
-                                            shed_fraction=0.0, gain=0.0),
+            reactive=LoadPolicy(P0=p0, E_on=35.0, E_off=48.0,
+                                shed_fraction=0.0),
+            anticipatory=LoadPolicy(P0=p0, horizon=6.0, E_target=48.0,
+                                    shed_fraction=0.0, gain=0.0),
         )
         degenerate = dataclasses.replace(
             degenerate,
