@@ -38,7 +38,7 @@ _EXPORTS = {
         "default_config", "risk_of_energy", "run_case",
     ), "scenario"),
     **dict.fromkeys((
-        "SteadyStateEstimate", "TimeGrid", "Trajectory", "estimate_steady_state",
+        "TimeGrid", "Trajectory", "estimate_steady_state",
     ), "trajectory"),
 }
 

@@ -71,8 +71,10 @@ def _resolve_config(args):
     return parser_to_config(_load_parser(args.config, args.set or []))
 
 
-def _case_table(result) -> TrajectoryTable:
-    return TrajectoryTable(
+def _write_case(out_dir: Path, case_id: str, result, digest: str):
+    """Write one case's trajectory CSV and report, print the CSV's path, and
+    return the table and the report's path."""
+    table = TrajectoryTable(
         t=result.energy.times(),
         signals={
             "E": result.energy.values,
@@ -81,6 +83,12 @@ def _case_table(result) -> TrajectoryTable:
             "r": result.risk.values,
         },
     )
+    traj_path = out_dir / f"{case_id}_trajectory.csv"
+    write_trajectory(table, traj_path)
+    report_path = out_dir / f"{case_id}_report.txt"
+    write_report(ReportDocument.from_report(result.report, case_id, digest), report_path)
+    print(f"wrote {traj_path}")
+    return table, report_path
 
 
 def _disturbance_window(config) -> tuple[float, float] | None:
@@ -97,13 +105,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_case(args.case, config)
-    table = _case_table(result)
-    traj_path = out_dir / f"{args.case}_trajectory.csv"
-    write_trajectory(table, traj_path)
-    doc = ReportDocument.from_report(result.report, args.case, config_digest(config))
-    report_path = out_dir / f"{args.case}_report.txt"
-    write_report(doc, report_path)
-    print(f"wrote {traj_path}")
+    table, report_path = _write_case(out_dir, args.case, result, config_digest(config))
     print(f"wrote {report_path}")
     if args.plot:
         plot_path = out_dir / f"{args.case}.svg"
@@ -169,18 +171,8 @@ def _cmd_compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     comparison = compare_cases(config)
     digest = config_digest(config)
-    tables = []
-    for case_id in CASE_IDS:
-        result = comparison.cases[case_id]
-        table = _case_table(result)
-        tables.append(table)
-        traj_path = out_dir / f"{case_id}_trajectory.csv"
-        write_trajectory(table, traj_path)
-        write_report(
-            ReportDocument.from_report(result.report, case_id, digest),
-            out_dir / f"{case_id}_report.txt",
-        )
-        print(f"wrote {traj_path}")
+    tables = [_write_case(out_dir, case_id, comparison.cases[case_id], digest)[0]
+              for case_id in CASE_IDS]
     summary_path = out_dir / "comparison.txt"
     summary_path.write_text(_comparison_text(comparison, digest), newline="\n")
     print(f"wrote {summary_path}")
@@ -220,18 +212,16 @@ def _parse_range(spec: str) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
-    overrides = args.set or []
-    # probe the parameter path once so bad names fail before any run
-    _load_parser(args.config, [*overrides, f"{args.param}=0"])
+    # the config is parsed once; probing the parameter path with 0 makes a
+    # bad name fail before any run, and each value then overwrites that key
+    parser = _load_parser(args.config, [*(args.set or []), f"{args.param}=0"])
     values = _parse_range(args.range)
 
     lines = [",".join(["value"] + [f"{case_id}_{key}" for case_id in CASE_IDS
                                    for key in ("r0", "lambda_hat", "impact")])]
     first = None  # the first value's comparison: cases it leaves unchanged are reused
     for value in values:
-        parser = _load_parser(
-            args.config, [*overrides, f"{args.param}={format_number(value)}"]
-        )
+        apply_overrides(parser, [f"{args.param}={format_number(value)}"])
         comparison = compare_cases(parser_to_config(parser), reuse=first)
         first = first or comparison
         cells = [format_number(value)]

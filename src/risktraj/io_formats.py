@@ -17,7 +17,6 @@ cannot be sure to read them as Python `float` does.
 
 from __future__ import annotations
 
-import importlib
 import io
 import math
 import warnings
@@ -403,9 +402,9 @@ DEFAULT_CONFIG_PATH = Path(__file__).parent / "data" / "default_scenario.ini"
 _POLICY = "policy."
 
 # section -> (name of the dataclass it builds, its (key, attribute, kind) in
-# file order). The classes are exported by the package and looked up when a
-# config is built, so reading a trajectory loads none of them, and building a
-# config loads them without the simulator.
+# file order). The classes are taken from `config` when a config is built, so
+# reading a trajectory loads none of them, and building a config loads them
+# without the simulator.
 _CONFIG_SECTIONS = {
     "energy": ("EnergyParams", (
         ("E_max_J", "E_max", _NUMBER),
@@ -464,11 +463,6 @@ _CONFIG_OPTIONAL = {
 }
 
 
-def _exported(name: str):
-    """The package's export `name`, importing its module on first use."""
-    return getattr(importlib.import_module(__package__), name)
-
-
 def _config_parser() -> configparser.ConfigParser:
     """An empty ConfigParser: no interpolation, keys kept as written."""
     import configparser  # loaded only where a config is read or written
@@ -513,13 +507,15 @@ def _config_value(parser, section: str, key: str, kind: str):
 
 
 def parser_to_config(parser: configparser.ConfigParser) -> ScenarioConfig:
+    from . import config  # the config types; reading a trajectory needs none
+
     for section in _CONFIG_SECTIONS:
         if section not in parser and not section.startswith(_POLICY):
             raise TableParseError(f"missing config section [{section}]")
     parts, policies = {}, {}
     for section, (class_name, keys) in _CONFIG_SECTIONS.items():
         if section in parser:
-            build = _exported(class_name)
+            build = getattr(config, class_name)
             part = build(**{attr: _config_value(parser, section, key, kind)
                             for key, attr, kind in keys})
             if section.startswith(_POLICY):
@@ -528,7 +524,7 @@ def parser_to_config(parser: configparser.ConfigParser) -> ScenarioConfig:
                 parts[section] = part
     if not policies:
         raise TableParseError("config defines no [policy.*] section")
-    return _exported("ScenarioConfig")(policies=policies, **parts)
+    return config.ScenarioConfig(policies=policies, **parts)
 
 
 def config_to_text(config: ScenarioConfig) -> str:

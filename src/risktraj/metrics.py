@@ -239,7 +239,7 @@ def assemble_report(
     if config.baseline_mode == "zero":
         baseline = 0.0
     else:
-        baseline = estimate_steady_state(traj, config.tail_fraction).level
+        baseline = estimate_steady_state(traj, config.tail_fraction)
 
     absent: dict[str, str] = {}
     r0, t_peak = peak_deviation(traj, t0, baseline)

@@ -66,34 +66,23 @@ def risk_of_energy(E, risk_map: RiskMap):
     return np.clip(r, 0.0, 1.0)
 
 
-class SolarEnergyTable:
-    """Cumulative energy of the undisturbed profile, for forecast queries.
+def _inflow(profile: SolarProfile, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Energy of the undisturbed profile over [t1, t2], elementwise.
 
-    One period of the profile is integrated once on a fine grid; arbitrary
-    intervals are then evaluated by periodic decomposition plus linear
-    interpolation. Times may be floats or arrays.
+    One period is integrated once by trapezoids on 4096 panels; each end
+    is then read by periodic decomposition plus linear interpolation.
     """
+    n = 4096
+    xs = np.linspace(0.0, profile.period, n + 1)
+    p = _clear_sky_power(profile, xs)
+    dx = profile.period / n
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * dx)))
 
-    _SAMPLES_PER_PERIOD = 4096
+    def cumulative(t):
+        periods, frac = np.divmod(t, profile.period)
+        return periods * float(cum[-1]) + np.interp(frac, xs, cum)
 
-    def __init__(self, profile: SolarProfile):
-        self.profile = profile
-        n = self._SAMPLES_PER_PERIOD
-        xs = np.linspace(0.0, profile.period, n + 1)
-        p = _clear_sky_power(profile, xs)
-        dx = profile.period / n
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * dx)))
-        self._xs = xs
-        self._cum = cum
-        self._per_period = float(cum[-1])
-
-    def cumulative(self, t):
-        """Integral of the profile from 0 to t."""
-        periods, frac = np.divmod(t, self.profile.period)
-        return periods * self._per_period + np.interp(frac, self._xs, self._cum)
-
-    def between(self, t1, t2):
-        return self.cumulative(t2) - self.cumulative(t1)
+    return cumulative(t2) - cumulative(t1)
 
 
 def _shed_law(policy: LoadPolicy, config: ScenarioConfig):
@@ -117,7 +106,7 @@ def _shed_law(policy: LoadPolicy, config: ScenarioConfig):
     integ = config.integrator
     times = TimeGrid(integ.t_start, integ.dt, integ.n_steps() + 1).times()
     with np.errstate(over="ignore", invalid="ignore"):
-        inflow = SolarEnergyTable(config.solar).between(times, times + policy.horizon)
+        inflow = _inflow(config.solar, times, times + policy.horizon)
     # inf - inf would make the forecast NaN, which never sheds
     if not (math.isfinite(spent) and np.isfinite(inflow).all()):
         raise ConfigurationError(

@@ -89,24 +89,10 @@ class Trajectory:
         return self.grid.times()
 
 
-@dataclass(frozen=True)
-class SteadyStateEstimate:
-    """Tail-mean level of a trajectory and the window it was averaged over."""
-
-    level: float
-    window_start: float
-    window_end: float
-
-    def __post_init__(self):
-        if not self.window_end > self.window_start:
-            raise ParameterError("steady-state window must have positive width")
-
-
-def estimate_steady_state(traj: Trajectory, tail_fraction: float) -> SteadyStateEstimate:
+def estimate_steady_state(traj: Trajectory, tail_fraction: float) -> float:
     """Mean of the last ceil(tail_fraction * n) samples.
 
-    The averaged window is reported so callers can check it sits past any
-    transient. A constant window returns that constant exactly.
+    A constant window returns that constant exactly.
     """
     if not 0.0 < tail_fraction <= 1.0:
         raise ParameterError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
@@ -119,11 +105,5 @@ def estimate_steady_state(traj: Trajectory, tail_fraction: float) -> SteadyState
         )
     window = traj.values[n - n_tail:]
     if np.all(window == window[0]):
-        level = float(window[0])  # exact for constant signals, no rounding
-    else:
-        level = float(np.mean(window))
-    return SteadyStateEstimate(
-        level=level,
-        window_start=traj.grid.time_at(n - n_tail),
-        window_end=traj.grid.t_end,
-    )
+        return float(window[0])  # exact for constant signals, no rounding
+    return float(np.mean(window))
