@@ -99,7 +99,7 @@ def test_star_import_and_dir_list_the_exports():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         risktraj.no_such_name  # noqa: B018
-    assert not hasattr(risktraj, "SolarEnergyTable")  # defined, but not exported
+    assert not hasattr(risktraj, "input_power")  # defined, but not exported
 
 
 def _usable_cpus():
