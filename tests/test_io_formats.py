@@ -813,6 +813,7 @@ def scenario_configs(draw):
     span = t_end - t_start
     kind = draw(st.sampled_from(["none", "pulse"]))
     onset = t_start + 0.5 * span * unit()
+    t0 = onset if kind == "pulse" else t_start  # a metrics horizon may not precede it
     return ScenarioConfig(
         energy=EnergyParams(E_max=e_max, E_min=e_min, E_ref=e_ref,
                             E_init=draw(st.floats(e_min, e_max))),
@@ -832,7 +833,7 @@ def scenario_configs(draw):
                                            exclude_max=True)),
             min_fit_samples=draw(st.integers(3, 10**6)),
             tail_correction=draw(st.booleans()),
-            horizon=draw(st.none() | st.floats(-1e6, 1e6)),
+            horizon=draw(st.none() | st.floats(t0, 1e6)),
             recovery_band_ratio=pos(),
         ),
     )
