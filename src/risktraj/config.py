@@ -215,6 +215,9 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     "disturbance window must lie inside the integration window"
                 )
+        horizon = self.metrics.horizon
+        if horizon is not None and horizon < self.t0:
+            raise ConfigurationError(f"horizon {horizon} precedes t0 {self.t0}")
         # the solar phase 2*pi*t/period must stay finite on the whole grid
         t_far = max(abs(self.integrator.t_start), abs(self.integrator.t_end))
         if not math.isfinite(2.0 * math.pi * t_far / self.solar.period):
@@ -222,6 +225,12 @@ class ScenarioConfig:
                 f"[solar] period_s = {self.solar.period} is too small: the phase "
                 f"2*pi*t/period_s overflows at t = {t_far}"
             )
+
+    @property
+    def t0(self) -> float:
+        """Where the metrics start: the pulse's onset, else the run's start."""
+        d = self.disturbance
+        return d.onset if d.kind == "pulse" else self.integrator.t_start
 
     def risk_map(self) -> RiskMap:
         return RiskMap(E_ref=self.energy.E_ref, E_min=self.energy.E_min)

@@ -231,18 +231,16 @@ def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
     energy = result.states[0]
     risk = result.observable
 
-    d = config.disturbance
     p_in = Trajectory(
         grid,
         _clear_sky_power(config.solar, times)
-        * d.sample(times, system.disturbance_neutral),
+        * config.disturbance.sample(times, system.disturbance_neutral),
     )
 
     shed = np.array(result.modes, dtype=bool)
     p_load = Trajectory(grid, _load_series(config.policies[case_id], energy.values, shed))
 
-    t0 = d.onset if d.kind == "pulse" else config.integrator.t_start
-    report = assemble_report(risk, t0, config.metrics)
+    report = assemble_report(risk, config.t0, config.metrics)
     return CaseResult(
         case_id=case_id,
         energy=energy,
