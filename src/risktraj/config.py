@@ -12,6 +12,7 @@ import numpy as np
 from .errors import ConfigurationError, ParameterError
 from .io_formats import CASE_IDS
 from .metrics import MetricsConfig
+from .trajectory import tail_length
 
 # Most steps one run may take; a sweep may also visit at most this many
 # values, since each value runs at least one step per case.
@@ -218,6 +219,8 @@ class ScenarioConfig:
         horizon = self.metrics.horizon
         if horizon is not None and horizon < self.t0:
             raise ConfigurationError(f"horizon {horizon} precedes t0 {self.t0}")
+        if self.metrics.baseline_mode == "steady_state":
+            tail_length(self.metrics.tail_fraction, self.integrator.n_steps() + 1)
         # the solar phase 2*pi*t/period must stay finite on the whole grid
         t_far = max(abs(self.integrator.t_start), abs(self.integrator.t_end))
         if not math.isfinite(2.0 * math.pi * t_far / self.solar.period):

@@ -236,10 +236,8 @@ def assemble_report(
     time are extracted in that order. Metric failures do not abort; they
     are recorded as absent fields with a reason.
     """
-    if config.baseline_mode == "zero":
-        baseline = 0.0
-    else:
-        baseline = estimate_steady_state(traj, config.tail_fraction)
+    baseline = (0.0 if config.baseline_mode == "zero"
+                else estimate_steady_state(traj, config.tail_fraction))
 
     absent: dict[str, str] = {}
     r0, t_peak = peak_deviation(traj, t0, baseline)
@@ -261,8 +259,9 @@ def assemble_report(
     tail_corrected = bool(config.tail_correction and lambda_hat is not None)
     impact_closed_form = None if lambda_hat is None else r0 / lambda_hat
 
-    if r0 > 0.0:
-        rec = recovery_time(traj, t0, baseline, config.recovery_band_ratio * r0)
+    if r0 > 0.0:  # a band that rounds to 0 is read as the least positive double
+        band = max(config.recovery_band_ratio * r0, 5e-324)
+        rec = recovery_time(traj, t0, baseline, band)
     else:
         rec = t_peak
 

@@ -60,6 +60,7 @@ def input_power(
     return profile.P_peak * power * d
 
 
+@np.errstate(over="ignore")  # a subnormal ramp width overflows; the clip holds it
 def risk_of_energy(E, risk_map: RiskMap):
     """Normalized risk for a stored-energy value or array, clamped to [0, 1]."""
     r = (risk_map.E_ref - E) / (risk_map.E_ref - risk_map.E_min)

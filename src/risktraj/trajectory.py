@@ -89,21 +89,25 @@ class Trajectory:
         return self.grid.times()
 
 
-def estimate_steady_state(traj: Trajectory, tail_fraction: float) -> float:
-    """Mean of the last ceil(tail_fraction * n) samples.
-
-    A constant window returns that constant exactly.
-    """
+def tail_length(tail_fraction: float, n: int) -> int:
+    """ceil(tail_fraction * n): the samples a tail window of n keeps, at least 2."""
     if not 0.0 < tail_fraction <= 1.0:
         raise ParameterError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
-    n = traj.grid.n_samples
     n_tail = math.ceil(tail_fraction * n)
     if n_tail < 2:
         raise ParameterError(
             f"tail window has {n_tail} sample(s); need at least 2 "
             f"(tail_fraction={tail_fraction}, n={n})"
         )
-    window = traj.values[n - n_tail:]
+    return n_tail
+
+
+def estimate_steady_state(traj: Trajectory, tail_fraction: float) -> float:
+    """Mean of the last tail_length(tail_fraction, n) samples.
+
+    A constant window returns that constant exactly.
+    """
+    window = traj.values[-tail_length(tail_fraction, traj.grid.n_samples):]
     if np.all(window == window[0]):
         return float(window[0])  # exact for constant signals, no rounding
     return float(np.mean(window))
