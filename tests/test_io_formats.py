@@ -814,6 +814,10 @@ def scenario_configs(draw):
     kind = draw(st.sampled_from(["none", "pulse"]))
     onset = t_start + 0.5 * span * unit()
     t0 = onset if kind == "pulse" else t_start  # a metrics horizon may not precede it
+    n_steps = draw(st.integers(1, 10_000))
+    baseline_mode = draw(st.sampled_from(BASELINE_MODES))
+    # a steady-state baseline needs a tail window of at least 2 of the n_steps + 1 samples
+    least_tail = 2.0 / (n_steps + 1) if baseline_mode == "steady_state" else 5e-324
     return ScenarioConfig(
         energy=EnergyParams(E_max=e_max, E_min=e_min, E_ref=e_ref,
                             E_init=draw(st.floats(e_min, e_max))),
@@ -824,11 +828,10 @@ def scenario_configs(draw):
             kind=kind, onset=onset,
             duration=0.5 * span * unit(), magnitude=unit(),
         ),
-        integrator=IntegratorConfig(dt=span / draw(st.integers(1, 10_000)),
-                                    t_start=t_start, t_end=t_end),
+        integrator=IntegratorConfig(dt=span / n_steps, t_start=t_start, t_end=t_end),
         metrics=MetricsConfig(
-            baseline_mode=draw(st.sampled_from(BASELINE_MODES)),
-            tail_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+            baseline_mode=baseline_mode,
+            tail_fraction=draw(st.floats(least_tail, 1.0)),
             fit_floor_ratio=draw(st.floats(0.0, 1.0, exclude_min=True,
                                            exclude_max=True)),
             min_fit_samples=draw(st.integers(3, 10**6)),
