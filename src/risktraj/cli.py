@@ -86,7 +86,8 @@ def _write_case(out_dir: Path, case_id: str, result, digest: str):
     traj_path = out_dir / f"{case_id}_trajectory.csv"
     write_trajectory(table, traj_path)
     report_path = out_dir / f"{case_id}_report.txt"
-    write_report(ReportDocument.from_report(result.report, case_id, digest), report_path)
+    doc = ReportDocument.from_report(result.report, case_id, digest)
+    write_report(doc, report_path)
     print(f"wrote {traj_path}")
     return table, report_path
 
@@ -119,8 +120,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _metrics_from_flags(args) -> MetricsConfig:
-    return MetricsConfig(
+def _cmd_analyze(args) -> int:
+    import hashlib  # loads OpenSSL, which only analyze needs here
+
+    digest = hashlib.sha256()
+    table = read_trajectory(args.input, digest)
+    traj = table.trajectory("r")
+    t0 = traj.grid.t_start if args.t0 is None else args.t0
+    metrics = MetricsConfig(
         baseline_mode=args.baseline,
         tail_fraction=args.tail_fraction,
         fit_floor_ratio=args.fit_floor,
@@ -129,16 +136,7 @@ def _metrics_from_flags(args) -> MetricsConfig:
         horizon=args.horizon,
         recovery_band_ratio=args.recovery_band_ratio,
     )
-
-
-def _cmd_analyze(args) -> int:
-    import hashlib  # loads OpenSSL, which only analyze needs here
-
-    digest = hashlib.sha256()
-    table = read_trajectory(args.input, digest)
-    traj = table.trajectory("r")
-    t0 = traj.grid.t_start if args.t0 is None else args.t0
-    report = assemble_report(traj, t0, _metrics_from_flags(args))
+    report = assemble_report(traj, t0, metrics)
     doc = ReportDocument.from_report(
         report, "external", "sha256:" + digest.hexdigest()[:16]
     )

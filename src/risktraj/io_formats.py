@@ -10,9 +10,8 @@ When a trajectory CSV is read, each cell accepts what Python `float`
 accepts (surrounding whitespace included), blank lines are skipped, and
 a bad row is reported by its line number in the file.
 
-One process writes a trajectory CSV, and one process reads it: the rows
-are parsed by one `np.loadtxt` call, or line by line where that call
-cannot be sure to read them as Python `float` does.
+The rows are parsed by one `np.loadtxt` call, or line by line where that
+call cannot be sure to read them as Python `float` does.
 """
 
 from __future__ import annotations
@@ -472,28 +471,20 @@ def _config_parser() -> configparser.ConfigParser:
     return parser
 
 
-def _config_part(config: ScenarioConfig, section: str):
-    """What `section` describes in `config`; None for a policy it lacks."""
-    if section.startswith(_POLICY):
-        return config.policies.get(section[len(_POLICY):])
-    return getattr(config, section)
-
-
-def _shortest_number(x: float) -> str:
-    return repr(float(x))  # shortest lossless form; configs stay readable
-
-
 def config_to_parser(config: ScenarioConfig) -> configparser.ConfigParser:
     parser = _config_parser()
     for section, (_, keys) in _CONFIG_SECTIONS.items():
-        part = _config_part(config, section)
-        if part is not None:
+        case_id = section.removeprefix(_POLICY)
+        part = (getattr(config, section) if case_id == section
+                else config.policies.get(case_id))
+        if part is not None:  # None: a policy the config lacks
             listed = {attr: getattr(part, attr) for _, attr, _ in keys}
             # the written file would drop a field its section has no key for
             if type(part)(**listed) != part:
                 raise ConfigurationError(f"[{section}] lacks a key that {part!r} sets")
             parser[section] = {
-                key: _format_value(listed[attr], kind, _shortest_number)
+                # repr: the shortest lossless form, so configs stay readable
+                key: _format_value(listed[attr], kind, lambda x: repr(float(x)))
                 for key, attr, kind in keys
             }
     return parser
@@ -519,7 +510,7 @@ def parser_to_config(parser: configparser.ConfigParser) -> ScenarioConfig:
             part = build(**{attr: _config_value(parser, section, key, kind)
                             for key, attr, kind in keys})
             if section.startswith(_POLICY):
-                policies[section[len(_POLICY):]] = part
+                policies[section.removeprefix(_POLICY)] = part
             else:
                 parts[section] = part
     if not policies:
