@@ -74,6 +74,19 @@ class TestSimulate:
         for name in ("anticipatory_trajectory.csv", "anticipatory_report.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_writes_the_bytes_of_compare(self, tmp_path, capsys):
+        cmp_out = tmp_path / "cmp"
+        assert main(["compare", "--out", str(cmp_out), *COARSE_SWEEP]) == 0
+        for case in ("passive", "reactive", "anticipatory"):
+            out = tmp_path / case
+            assert main(["simulate", "--case", case, "--out", str(out),
+                         *COARSE_SWEEP]) == 0
+            for name in (f"{case}_trajectory.csv", f"{case}_report.txt"):
+                assert (out / name).read_bytes() == (cmp_out / name).read_bytes()
+            assert capsys.readouterr().out.endswith(
+                f"wrote {out / f'{case}_trajectory.csv'}\n"
+                f"wrote {out / f'{case}_report.txt'}\n")
+
     def test_unknown_case_usage_error(self):
         with pytest.raises(SystemExit) as exc_info:
             main(["simulate", "--case", "bogus", "--out", "x"])
@@ -377,6 +390,20 @@ class TestSweep:
         parts = [sweep(f"{v}:{v}:1", f"{v}.csv") for v in ("0", "1", "2")]
         assert whole == parts[0][:1] + [part[1] for part in parts]
 
+    def test_reads_its_config_once(self, tmp_path, monkeypatch):
+        reads = []
+        read_config_parser = risktraj.cli.read_config_parser
+
+        def counted(source):
+            reads.append(source)
+            return read_config_parser(source)
+
+        monkeypatch.setattr(risktraj.cli, "read_config_parser", counted)
+        assert main(["sweep", "--param", "policy.anticipatory.gain_W_per_J",
+                     "--range", "0:2:3", "--out", str(tmp_path / "s.csv"),
+                     *COARSE_SWEEP]) == 0
+        assert reads == [DEFAULT_CONFIG_PATH]
+
     @pytest.mark.parametrize("count", [str(10**12), str(MAX_STEPS + 1)])
     def test_huge_count_rejected_before_allocation(self, count):
         with pytest.raises(RisktrajError, match="range count"):
@@ -468,6 +495,18 @@ class TestEmitPlot:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: (t_end - t_start)/dt = ") and err.count("\n") == 1
+        assert not fig.exists()
+
+    def test_config_with_a_horizon_before_the_onset(self, tmp_path, capsys):
+        assert main(["simulate", "--case", "passive", "--out", str(tmp_path), *FAST]) == 0
+        ini = tmp_path / "early.ini"
+        ini.write_text(DEFAULT_CONFIG_PATH.read_text().replace(
+            "horizon_s = end", "horizon_s = 20"))
+        fig = tmp_path / "fig.svg"
+        code = main(["emit-plot", str(tmp_path / "passive_trajectory.csv"),
+                     "--config", str(ini), "--out", str(fig)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: horizon 20.0 precedes t0 27.0\n"
         assert not fig.exists()
 
     def test_label_with_markup_characters(self, tmp_path):

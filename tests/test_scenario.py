@@ -1,8 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from risktraj.config import (
@@ -14,9 +15,14 @@ from risktraj.config import (
     ScenarioConfig,
     SolarProfile,
 )
-from risktraj.errors import ConfigurationError, ParameterError
+from risktraj.errors import (
+    ConfigurationError,
+    IntegrationDivergedError,
+    ParameterError,
+    RisktrajError,
+)
 from risktraj.io_formats import config_to_text
-from risktraj.metrics import MetricsConfig
+from risktraj.metrics import BASELINE_MODES, MetricsConfig
 from risktraj.scenario import (
     CASE_IDS,
     _load_series,
@@ -250,6 +256,29 @@ class TestScenarioConfigValidation:
             dataclasses.replace(config, disturbance=DisturbanceSignal(
                 kind="pulse", onset=140.0, duration=12.0, magnitude=0.5))
 
+    def test_metrics_horizon_before_t0(self):
+        config = default_config()
+        assert config.t0 == 27.0  # the pulse onset
+        with pytest.raises(ConfigurationError, match=r"^horizon 20.0 precedes t0 27.0$"):
+            dataclasses.replace(config, metrics=dataclasses.replace(
+                config.metrics, horizon=20.0))
+        calm = dataclasses.replace(config, disturbance=NO_DIST)
+        assert calm.t0 == 0.0  # the run's start
+        assert dataclasses.replace(calm, metrics=dataclasses.replace(
+            config.metrics, horizon=20.0)).metrics.horizon == 20.0
+
+    def test_tail_window_of_one_sample(self):
+        # 0.001% of the 28,801 samples rounds up to 1, too few for a mean level
+        config = default_config()
+        for baseline_mode, accepted in (("steady_state", False), ("zero", True)):
+            metrics = dataclasses.replace(config.metrics, baseline_mode=baseline_mode,
+                                          tail_fraction=1e-5)
+            if accepted:
+                dataclasses.replace(config, metrics=metrics)
+            else:
+                with pytest.raises(ParameterError, match="tail window has 1 sample"):
+                    dataclasses.replace(config, metrics=metrics)
+
     def test_missing_policy_rejected_by_build(self):
         config = default_config()
         trimmed = dataclasses.replace(
@@ -362,6 +391,31 @@ class TestRunCase:
         assert np.array_equal(a.risk.values, b.risk.values)
 
 
+class TestMechanismCoverage:
+    """On the defaults, each mechanism of a shipped policy is dropped in turn."""
+
+    @pytest.mark.parametrize("case_id, dropped, moves_E", [
+        ("reactive", {"E_on": -np.inf, "E_off": -np.inf}, True),  # the band
+        ("anticipatory", {"gain": 0.0}, True),  # the feedback
+        # Expected inert: with horizon_s = period_s = 6 the forecast's inflow
+        # is a constant 18 J, so it sheds below 46.5 J, where the feedback
+        # (below 46.625 J) already holds the load at its floor.
+        ("anticipatory", {"horizon": None}, False),
+    ])
+    def test_dropped_mechanism(self, default_comparison, case_id, dropped, moves_E):
+        config = default_config()
+        policy = dataclasses.replace(config.policies[case_id], **dropped)
+        result = run_case(case_id, with_policies(config, **{case_id: policy}))
+        base = default_comparison.cases[case_id]
+        same_E = np.array_equal(result.energy.values, base.energy.values)
+        if moves_E:
+            assert not same_E
+        else:
+            assert same_E
+            assert np.array_equal(result.p_load.values, base.p_load.values)
+            assert result.shed != base.shed  # only the shed flags move
+
+
 class TestCompareCases:
     def test_degenerate_identical_policies(self):
         config = default_config()
@@ -414,3 +468,78 @@ class TestCompareCases:
             q = np.trapezoid(result.p_in.values - result.p_load.values,
                              dx=result.energy.grid.dt)
             assert abs(dE - q) <= 1e-6 * 100.0
+
+
+@st.composite
+def bounded_configs(draw):
+    """Accepted ScenarioConfigs of short runs: dt in [0.02, 0.1], 24-96 s,
+    all three cases, and every section drawn. A draw the constructors
+    refuse is rejected, so only accepted configs reach the test."""
+    def unit():
+        return draw(st.floats(0.0, 1.0, exclude_max=True))
+
+    def level():
+        return draw(st.floats(-10.0, 210.0))
+
+    dt = draw(st.floats(0.02, 0.1))
+    t_start = draw(st.floats(-100.0, 100.0))
+    t_end = t_start + dt * draw(st.integers(math.ceil(24.0 / dt), math.floor(96.0 / dt)))
+    span = t_end - t_start
+    onset = t_start + span * unit()
+    e_min, e_ref, e_max = sorted(draw(st.lists(st.floats(0.0, 200.0), min_size=3,
+                                               max_size=3, unique=True)))
+    e_on, e_off = sorted(draw(st.lists(st.floats(-10.0, 210.0), min_size=2,
+                                       max_size=2, unique=True)))
+    try:
+        return ScenarioConfig(
+            energy=EnergyParams(E_max=e_max, E_min=e_min, E_ref=e_ref,
+                                E_init=draw(st.floats(e_min, e_max))),
+            solar=SolarProfile(P_peak=draw(st.floats(0.01, 50.0)),
+                               period=draw(st.floats(0.5, 100.0)),
+                               shape_exponent=draw(st.just(0.0) | st.floats(1.0, 8.0))),
+            policies={
+                "passive": LoadPolicy(P0=draw(st.floats(0.01, 50.0))),
+                "reactive": LoadPolicy(P0=draw(st.floats(0.01, 50.0)), E_on=e_on,
+                                       E_off=e_off, shed_fraction=unit()),
+                "anticipatory": LoadPolicy(P0=draw(st.floats(0.01, 50.0)),
+                                           horizon=draw(st.floats(0.01, 100.0)),
+                                           E_target=level(), shed_fraction=unit(),
+                                           gain=draw(st.floats(0.0, 100.0))),
+            },
+            disturbance=DisturbanceSignal(
+                kind=draw(st.sampled_from(["none", "pulse"])), onset=onset,
+                duration=(t_end - onset) * unit(), magnitude=draw(st.floats(0.0, 1.0))),
+            integrator=IntegratorConfig(dt=dt, t_start=t_start, t_end=t_end),
+            metrics=MetricsConfig(
+                baseline_mode=draw(st.sampled_from(BASELINE_MODES)),
+                tail_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+                fit_floor_ratio=draw(st.floats(0.0, 1.0, exclude_min=True,
+                                               exclude_max=True)),
+                min_fit_samples=draw(st.integers(3, 2000)),
+                tail_correction=draw(st.booleans()),
+                horizon=draw(st.none() | st.floats(t_start - span, t_end + span)),
+                recovery_band_ratio=draw(st.floats(0.0, 10.0, exclude_min=True)),
+            ),
+        )
+    except RisktrajError:
+        reject()
+
+
+class TestEveryAcceptedConfigRuns:
+    @pytest.mark.filterwarnings("ignore:pulse duration")  # the coarse-step advisory
+    @settings(max_examples=150, deadline=None)
+    @given(bounded_configs())
+    # a recovery band that rounds to 0
+    @example(dataclasses.replace(SHORT_DEFAULTS, metrics=dataclasses.replace(
+        SHORT_DEFAULTS.metrics, recovery_band_ratio=5e-324)))
+    # a risk ramp so narrow that the risk map's division overflows
+    @example(dataclasses.replace(SHORT_DEFAULTS, energy=EnergyParams(
+        E_max=100.0, E_min=0.0, E_init=50.0, E_ref=1e-320)))
+    def test_compare_runs_or_diverges(self, config):
+        # a run may diverge, and the forecast may be refused; nothing else fails
+        try:
+            compare_cases(config)
+        except IntegrationDivergedError:
+            pass
+        except ConfigurationError as exc:
+            assert "energy forecast" in str(exc)
