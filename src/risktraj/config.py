@@ -234,6 +234,3 @@ class ScenarioConfig:
         """Where the metrics start: the pulse's onset, else the run's start."""
         d = self.disturbance
         return d.onset if d.kind == "pulse" else self.integrator.t_start
-
-    def risk_map(self) -> RiskMap:
-        return RiskMap(E_ref=self.energy.E_ref, E_min=self.energy.E_min)

@@ -259,7 +259,8 @@ def assemble_report(
     tail_corrected = bool(config.tail_correction and lambda_hat is not None)
     impact_closed_form = None if lambda_hat is None else r0 / lambda_hat
 
-    if r0 > 0.0:  # a band that rounds to 0 is read as the least positive double
+    if r0 > 0.0:
+        # a band that rounds to 0 is read as the least positive double
         band = max(config.recovery_band_ratio * r0, 5e-324)
         rec = recovery_time(traj, t0, baseline, band)
     else:

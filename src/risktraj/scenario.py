@@ -166,7 +166,7 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
 
     solar = config.solar
     E_max = config.energy.E_max
-    rmap = config.risk_map()
+    rmap = RiskMap(E_ref=config.energy.E_ref, E_min=config.energy.E_min)
     # Inside (lo, E_max) nothing clamps and E > E_target zeroes the
     # proportional term, so dE/dt = u - load.
     lo = max(0.0, policy.E_target)
