@@ -24,9 +24,8 @@ class DisturbanceSignal:
     """Exogenous disturbance d(t): a rectangular pulse or nothing.
 
     The pulse is active on the half-open window [onset, onset + duration).
-    Outside the window (and always for kind="none") evaluation returns the
-    neutral value declared by the consuming system: 0 for additive
-    coupling, 1 for multiplicative coupling.
+    Outside the window (and always for kind="none") d is 1: the
+    disturbance multiplies the input it attenuates.
     """
 
     kind: str = "none"  # "none" | "pulse"
@@ -40,12 +39,12 @@ class DisturbanceSignal:
         if self.kind == "pulse" and self.duration < 0:
             raise ParameterError(f"pulse duration must be >= 0, got {self.duration}")
 
-    def sample(self, times: np.ndarray, neutral: float) -> np.ndarray:
+    def sample(self, times: np.ndarray) -> np.ndarray:
         """d at each of the given times, as a float array."""
         if self.kind == "none":
-            return np.full(times.shape, neutral, dtype=float)
+            return np.ones(times.shape)
         window = (times >= self.onset) & (times < self.onset + self.duration)
-        return np.where(window, self.magnitude, neutral)
+        return np.where(window, self.magnitude, 1.0)
 
 
 @dataclass(frozen=True)

@@ -51,18 +51,19 @@ class DynamicalSystem:
 
     rhs(x, u) must be a pure function returning dx/dt as a float; u is
     the forcing value at the substep's time. forcing(times, d), when set,
-    maps an array of substep times and the disturbance sampled there to
-    the array of u values; it must be vectorised and depend on time only.
-    Unset, u is the disturbance value d itself. integrate() calls it once
-    per block of steps, never inside the step loop. When
-    mode_update is set, rhs receives the current mode as a third argument
-    and mode_update(k, x, mode) is called with the grid index k and the
-    state there, once at the start of every step (never inside substeps)
-    and once with k = n_steps at the end time. project, when set,
-    maps the state to the admissible set after every step (state
-    constraints such as storage saturation) and must let NaN through so
-    divergence is still reported. output_map(states), when set, is called
-    once on the recorded state array and returns the observable array.
+    maps an array of substep times and the disturbance sampled there (1
+    outside a pulse) to the array of u values; it must be vectorised and
+    depend on time only. Unset, u is the disturbance value d itself.
+    integrate() calls it once per block of steps, never inside the step
+    loop. When mode_update is set, rhs receives the current mode as a
+    third argument and mode_update(k, x, mode) is called with the grid
+    index k and the state there, once at the start of every step (never
+    inside substeps) and once with k = n_steps at the end time. project,
+    when set, maps the state to the admissible set after every step
+    (state constraints such as storage saturation) and must let NaN
+    through so divergence is still reported. output_map(states), when
+    set, is called once on the recorded state array and returns the
+    observable array.
     free_flight, when set, maps each mode to (load, lo, hi): for every
     lo < x < hi, rhs(x, u, mode) must equal u - load bit for bit and
     project(x) must be x itself. integrate() then steps such stretches in
@@ -77,7 +78,6 @@ class DynamicalSystem:
     mode_update: Callable[[Any, Any, Any], Any] | None = None
     mode_init: Any = None
     project: Callable[[float], float] | None = None
-    disturbance_neutral: float = 0.0
     forcing: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     free_flight: Mapping[Any, tuple[float, float, float]] | None = None
 
@@ -131,16 +131,17 @@ def integrate(
 ) -> IntegrationResult:
     """Classical RK4 with the input sampled at the substep times.
 
-    x0 is a float or a length-1 array. The disturbance d, mapped through
-    system.forcing when that is set, is evaluated at (t, t+dt/2, t+dt/2,
-    t+dt) and held fixed within each substep; pulse edges are not located
-    sub-step, so keep dt small relative to the pulse duration. The input
-    is sampled once per block of steps, at each substep time exactly once.
-    When the system declares free flight, each step that starts strictly
-    inside a declared interval opens a numpy pass over the following
-    steps of its block; the pass keeps the steps up to the first one that
-    leaves its mode's interval (with any substep state), changes the mode
-    or is not finite, and that step falls to the scalar loop.
+    x0 is a float or a length-1 array. The disturbance d (1 outside a
+    pulse), mapped through system.forcing when that is set, is evaluated
+    at (t, t+dt/2, t+dt/2, t+dt) and held fixed within each substep; pulse
+    edges are not located sub-step, so keep dt small relative to the
+    pulse duration. The input is sampled once per block of steps, at each
+    substep time exactly once. When the system declares free flight, each
+    step that starts strictly inside a declared interval opens a numpy
+    pass over the following steps of its block; the pass keeps the steps
+    up to the first one that leaves its mode's interval (with any substep
+    state), changes the mode or is not finite, and that step falls to the
+    scalar loop.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape not in ((), (1,)):
@@ -160,11 +161,10 @@ def integrate(
     t_start, dt = config.t_start, config.dt
     half, sixth = 0.5 * dt, dt / 6.0
 
-    neutral = system.disturbance_neutral
     forcing = system.forcing
 
     def inputs(times: np.ndarray) -> np.ndarray:
-        d = disturbance.sample(times, neutral)
+        d = disturbance.sample(times)
         return d if forcing is None else forcing(times, d)
 
     mode_update = system.mode_update

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Mapping
 
 import numpy as np
@@ -26,38 +25,17 @@ from .metrics import ResilienceReport, assemble_report
 from .trajectory import TimeGrid, Trajectory
 
 
-def _daylight(profile: SolarProfile, times: np.ndarray) -> np.ndarray:
-    """max(0, sin(2*pi*t/period)) at each time."""
-    return np.maximum(np.sin(2.0 * np.pi * times / profile.period), 0.0)
-
-
-def _clear_sky_power(profile: SolarProfile, times: np.ndarray) -> np.ndarray:
-    """Undisturbed input power at each time, raised with numpy's power.
-
-    This is the recorded P_in before the disturbance and the forecast's
-    integrand; see input_power for the input the integrator steps.
-    """
-    if profile.shape_exponent == 0.0:
-        return np.full(len(times), profile.P_peak)
-    return profile.P_peak * _daylight(profile, times) ** profile.shape_exponent
-
-
 def input_power(
-    profile: SolarProfile, times: np.ndarray, d: np.ndarray
+    profile: SolarProfile, times: np.ndarray, d: np.ndarray | float
 ) -> np.ndarray:
-    """Disturbed input P_in(t)*d(t) at each time, as the integrator steps it.
+    """Disturbed input P_in(t)*d(t) at each time: the one input law.
 
-    The power is taken per element with Python's float pow (libm), not
-    numpy's: numpy computes s**2.0 as s*s, which differs from pow in the
-    last bit on some samples.
+    The integrator steps it, the P_in column records it and the forecast
+    integrates it with d = 1. The power is numpy's: s**2 is s*s, other
+    shapes take its vectorised pow, and s**0 is exactly 1.
     """
-    if profile.shape_exponent == 0.0:
-        return profile.P_peak * d
-    s = _daylight(profile, times)
-    lit = s > 0.0
-    power = np.zeros(len(times))
-    power[lit] = list(map(pow, s[lit].tolist(), repeat(profile.shape_exponent)))
-    return profile.P_peak * power * d
+    s = np.maximum(np.sin(2.0 * np.pi * times / profile.period), 0.0)
+    return profile.P_peak * s ** profile.shape_exponent * d
 
 
 @np.errstate(over="ignore")  # a subnormal ramp width overflows; the clip holds it
@@ -75,7 +53,7 @@ def _inflow(profile: SolarProfile, t1: np.ndarray, t2: np.ndarray) -> np.ndarray
     """
     n = 4096
     xs = np.linspace(0.0, profile.period, n + 1)
-    p = _clear_sky_power(profile, xs)
+    p = input_power(profile, xs, 1.0)
     dx = profile.period / n
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * dx)))
 
@@ -187,7 +165,6 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
         mode_update=_shed_law(policy, config),
         mode_init=False,
         project=project,
-        disturbance_neutral=1.0,
         forcing=lambda times, d: input_power(solar, times, d),
         free_flight=flight,
     )
@@ -219,9 +196,9 @@ class ComparisonResult:
 def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
     """Integrate one case and extract its resilience report.
 
-    Records E, P_in (disturbed), P_load and r on the integration grid;
-    the report is computed on the risk trajectory with t0 at the
-    disturbance onset.
+    Records E, P_in (the disturbed input the integrator stepped), P_load
+    and r on the integration grid; the report is computed on the risk
+    trajectory with t0 at the disturbance onset.
     """
     system = build_case(case_id, config)
     result = integrate(
@@ -232,11 +209,7 @@ def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
     energy = result.states[0]
     risk = result.observable
 
-    p_in = Trajectory(
-        grid,
-        _clear_sky_power(config.solar, times)
-        * config.disturbance.sample(times, system.disturbance_neutral),
-    )
+    p_in = Trajectory(grid, system.forcing(times, config.disturbance.sample(times)))
 
     shed = np.array(result.modes, dtype=bool)
     p_load = Trajectory(grid, _load_series(config.policies[case_id], energy.values, shed))
