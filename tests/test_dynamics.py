@@ -21,16 +21,15 @@ def run(system, x0, config, disturbance=NO_DIST):
 class TestDisturbance:
     def test_none_returns_neutral(self):
         sig = DisturbanceSignal(kind="none")
-        assert sig.sample(np.array([123.0]), 0.0).tolist() == [0.0]
-        assert sig.sample(np.array([-5.0]), 1.0).tolist() == [1.0]
+        assert sig.sample(np.array([-5.0])).tolist() == [1.0]
 
     def test_pulse_window(self):
         sig = DisturbanceSignal(kind="pulse", onset=5.0, duration=2.0, magnitude=0.2)
-        assert sig.sample(np.array([6.0, 5.0]), 1.0).tolist() == [0.2, 0.2]
+        assert sig.sample(np.array([6.0, 5.0])).tolist() == [0.2, 0.2]
 
     def test_half_open_boundary(self):
         sig = DisturbanceSignal(kind="pulse", onset=5.0, duration=2.0, magnitude=0.2)
-        assert sig.sample(np.array([7.0, 4.999]), 1.0).tolist() == [1.0, 1.0]
+        assert sig.sample(np.array([7.0, 4.999])).tolist() == [1.0, 1.0]
 
     def test_bad_kind(self):
         with pytest.raises(ParameterError):
@@ -112,7 +111,7 @@ class TestIntegrate:
             return 0.0
 
         run(
-            DynamicalSystem(rhs=rhs, disturbance_neutral=1.0),
+            DynamicalSystem(rhs=rhs),
             [0.0],
             IntegratorConfig(dt=1.0, t_start=0.0, t_end=1.0),
             DisturbanceSignal(kind="pulse", onset=0.5, duration=10.0, magnitude=0.2),

@@ -104,7 +104,6 @@ def _ramp(forcing, project=None):
         rhs=lambda _x, u: u - 1.0,
         forcing=forcing,
         project=project,
-        disturbance_neutral=1.0,
         free_flight={None: (1.0, -10.0, 10.0)},
     )
 

@@ -4,8 +4,11 @@
 block of steps, and the scenario's right-hand side reads the sampled
 input. The reference below is a self-contained copy of the loop that
 evaluated the input inside every substep, with the scenario laws it
-stepped (scalar `math.sin` and `**`, a closure per input); the two must
-agree bit for bit across block boundaries.
+stepped (scalar `math.sin`, a closure per input); the two must agree bit
+for bit across block boundaries. The reference raises to the shape with
+numpy's power on a one-element array, as the scenario does on its
+blocks: numpy computes s**2 as s*s, and its pow on one element gives the
+same bits as on a block.
 """
 
 import dataclasses
@@ -34,21 +37,21 @@ from risktraj.scenario import CASE_IDS, build_case, default_config
 STEP_COUNTS = (4095, 4096, 4097, 8193)
 
 
-def reference_integrate(rhs, x0, disturbance, neutral, t_start, dt, n_steps,
+def reference_integrate(rhs, x0, disturbance, t_start, dt, n_steps,
                         mode_update=None, mode_init=None, project=None):
     """RK4 with the disturbance evaluated at every substep; (states, modes)."""
     half = 0.5 * dt
     sixth = dt / 6.0
     if disturbance.kind == "none":
         def dist(_t):
-            return neutral
+            return 1.0
     else:
         onset = disturbance.onset
         offset = disturbance.onset + disturbance.duration
         magnitude = disturbance.magnitude
 
         def dist(t):
-            return magnitude if onset <= t < offset else neutral
+            return magnitude if onset <= t < offset else 1.0
 
     mode = mode_init
     x = x0 if project is None else project(x0)
@@ -89,7 +92,7 @@ def reference_case(case_id, config):
         if shape == 0.0:
             return P_peak
         s = math.sin(two_pi * t / period)
-        return P_peak * s ** shape if s > 0.0 else 0.0
+        return P_peak * (np.array([s]) ** shape)[0] if s > 0.0 else 0.0
 
     if case_id == "passive":
         def load(_E, _shed):
@@ -214,7 +217,7 @@ def test_scenario_matches_per_step_reference(run):
     rhs, shed_law, project = reference_case(case_id, config)
     integ = config.integrator
     states, modes = reference_integrate(
-        rhs, config.energy.E_init, config.disturbance, 1.0, integ.t_start,
+        rhs, config.energy.E_init, config.disturbance, integ.t_start,
         integ.dt, integ.n_steps(), shed_law, False, project)
     assert result.states[0].values.tobytes() == np.array(states).tobytes()
     assert result.modes == modes
@@ -222,8 +225,8 @@ def test_scenario_matches_per_step_reference(run):
 
 @pytest.mark.filterwarnings("ignore:pulse duration")
 @settings(max_examples=60, deadline=None)
-@given(windows(), st.floats(0.2, 2.0), st.sampled_from([0.0, 1.0]))
-def test_forcing_and_divergence_match_per_step_reference(window, blowup, neutral):
+@given(windows(), st.floats(0.2, 2.0))
+def test_forcing_and_divergence_match_per_step_reference(window, blowup):
     # dx/dt ~ u*x^2 blows up near t_start + blowup*span, so some runs
     # diverge in the first block, some later and some not at all.
     t_start, dt, n_steps, disturbance = window
@@ -243,10 +246,10 @@ def test_forcing_and_divergence_match_per_step_reference(window, blowup, neutral
 
     config = IntegratorConfig(dt=dt, t_start=t_start, t_end=t_start + n_steps * dt)
     system = DynamicalSystem(rhs=rhs, mode_update=mode_update, mode_init=False,
-                             disturbance_neutral=neutral, forcing=forcing)
+                             forcing=forcing)
     try:
         states, modes = reference_integrate(
-            reference_rhs, x0, disturbance, neutral, t_start, dt, config.n_steps(),
+            reference_rhs, x0, disturbance, t_start, dt, config.n_steps(),
             mode_update, False)
     except IntegrationDivergedError as exc:
         with pytest.raises(IntegrationDivergedError) as got:
@@ -308,3 +311,4 @@ def test_each_substep_input_sampled_once_in_free_flight():
     calls, seen, integ = _probed_run(free_flight=True)
     assert 0 < calls["rhs"] < 4 * integ.n_steps()
     _assert_sampled_once(seen, integ)
+

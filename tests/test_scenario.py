@@ -48,7 +48,7 @@ def with_policies(config, **replacements):
 def solar_input(t, profile, disturbance):
     """Disturbed input power at one time, as the integrator samples it."""
     times = np.array([t])
-    return input_power(profile, times, disturbance.sample(times, 1.0))[0]
+    return input_power(profile, times, disturbance.sample(times))[0]
 
 
 def load_power(k, E, prev_shedding, policy, solar):
