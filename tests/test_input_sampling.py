@@ -31,7 +31,7 @@ from risktraj.config import (
 from risktraj.dynamics import DynamicalSystem, integrate
 from risktraj.errors import IntegrationDivergedError
 from risktraj.metrics import MetricsConfig
-from risktraj.scenario import CASE_IDS, build_case, default_config
+from risktraj.scenario import CASE_IDS, build_case, default_config, run_case
 
 # Step counts on both sides of the 4,096-step sampling block.
 STEP_COUNTS = (4095, 4096, 4097, 8193)
@@ -312,3 +312,30 @@ def test_each_substep_input_sampled_once_in_free_flight():
     assert 0 < calls["rhs"] < 4 * integ.n_steps()
     _assert_sampled_once(seen, integ)
 
+
+@pytest.mark.parametrize("shape, dt", [
+    *((shape, 0.02) for shape in (0.0, 1.0, 2.0, 2.5, 3.0)), (2.0, None)])
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_recorded_input_is_the_stepped_input(case_id, shape, dt):
+    # The P_in column holds, bit for bit, the input that reached the
+    # right-hand side at each grid time. dt None keeps the shipped step.
+    config = default_config()
+    config = dataclasses.replace(
+        config, solar=dataclasses.replace(config.solar, shape_exponent=shape))
+    if dt is not None:
+        config = dataclasses.replace(
+            config, integrator=dataclasses.replace(config.integrator, dt=dt))
+    system = build_case(case_id, config)
+    stepped = {}
+
+    def forcing(times, d):
+        u = system.forcing(times, d)
+        stepped.update(zip(times.tolist(), u.tolist()))
+        return u
+
+    integrate(dataclasses.replace(system, forcing=forcing), config.energy.E_init,
+              config.disturbance, config.integrator)
+    recorded = run_case(case_id, config).p_in
+    expected = np.array([stepped[t] for t in recorded.times().tolist()])
+    differ = np.count_nonzero(expected != recorded.values)
+    assert differ == 0, f"{differ} of {len(expected)} samples differ"
