@@ -36,8 +36,11 @@ class DisturbanceSignal:
     def __post_init__(self):
         if self.kind not in ("none", "pulse"):
             raise ParameterError(f"unknown disturbance kind {self.kind!r}")
-        if self.kind == "pulse" and self.duration < 0:
-            raise ParameterError(f"pulse duration must be >= 0, got {self.duration}")
+        if self.kind == "pulse":
+            if not math.isfinite(self.onset):
+                raise ParameterError(f"pulse onset must be finite, got {self.onset}")
+            if not self.duration >= 0:
+                raise ParameterError(f"pulse duration must be >= 0, got {self.duration}")
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """d at each of the given times, as a float array."""
@@ -109,11 +112,13 @@ class SolarProfile:
     shape_exponent: float  # dimensionless
 
     def __post_init__(self):
-        if self.P_peak <= 0.0:
+        if not self.P_peak > 0.0:
             raise ParameterError(f"P_peak must be > 0, got {self.P_peak}")
-        if self.period <= 0.0:
+        if self.P_peak == math.inf:
+            raise ParameterError(f"P_peak must be finite, got {self.P_peak}")
+        if not self.period > 0.0:
             raise ParameterError(f"period must be > 0, got {self.period}")
-        if self.shape_exponent != 0.0 and self.shape_exponent < 1.0:
+        if self.shape_exponent != 0.0 and not self.shape_exponent >= 1.0:
             raise ParameterError(
                 f"shape_exponent must be >= 1 (or 0 for flat), got {self.shape_exponent}"
             )
@@ -176,6 +181,8 @@ class LoadPolicy:
             )
         if not 0.0 <= self.gain < math.inf:
             raise ParameterError(f"gain must be finite and >= 0, got {self.gain}")
+        if math.isnan(self.E_target):
+            raise ParameterError("E_target must be a number, got nan")
 
     @property
     def floor(self) -> float:

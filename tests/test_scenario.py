@@ -276,6 +276,25 @@ class TestScenarioConfigValidation:
         # a zero baseline takes no tail mean
         dataclasses.replace(config, metrics=dataclasses.replace(few, baseline_mode="zero"))
 
+    @pytest.mark.parametrize("part, field, value", [
+        ("solar", "P_peak", math.nan),
+        ("solar", "P_peak", math.inf),
+        ("solar", "period", math.nan),
+        ("solar", "shape_exponent", math.nan),
+        ("disturbance", "onset", math.nan),
+        ("disturbance", "onset", math.inf),
+        ("disturbance", "onset", -math.inf),
+        ("disturbance", "duration", math.nan),
+        ("anticipatory", "E_target", math.nan),
+    ])
+    def test_non_finite_number_refused(self, part, field, value):
+        # each of these was accepted, then diverged, ran with no pulse or
+        # failed only inside the run
+        config = default_config()
+        record = config.policies.get(part) or getattr(config, part)
+        with pytest.raises(ParameterError, match=rf"{field} .*got {value}$"):
+            dataclasses.replace(record, **{field: value})
+
     def test_missing_policy_rejected_by_build(self):
         config = default_config()
         trimmed = dataclasses.replace(
