@@ -400,66 +400,48 @@ CASE_IDS = ("passive", "reactive", "anticipatory")
 DEFAULT_CONFIG_PATH = Path(__file__).parent / "data" / "default_scenario.ini"
 _POLICY = "policy."
 
-# section -> (name of the dataclass it builds, its (key, attribute, kind) in
-# file order). The classes are taken from `config` when a config is built, so
-# reading a trajectory loads none of them, and building a config loads them
-# without the simulator.
+# section -> (name of the dataclass it builds, its keys in file order). The
+# classes are taken from `config` when a config is built, so reading a
+# trajectory loads none of them, and building a config loads them without the
+# simulator.
 _CONFIG_SECTIONS = {
-    "energy": ("EnergyParams", (
-        ("E_max_J", "E_max", _NUMBER),
-        ("E_min_J", "E_min", _NUMBER),
-        ("E_init_J", "E_init", _NUMBER),
-        ("E_ref_J", "E_ref", _NUMBER),
-    )),
-    "solar": ("SolarProfile", (
-        ("P_peak_W", "P_peak", _NUMBER),
-        ("period_s", "period", _NUMBER),
-        ("shape_exponent", "shape_exponent", _NUMBER),
-    )),
-    "disturbance": ("DisturbanceSignal", (
-        ("kind", "kind", _WORD),
-        ("onset_s", "onset", _NUMBER),
-        ("duration_s", "duration", _NUMBER),
-        ("magnitude", "magnitude", _NUMBER),
-    )),
-    "policy.passive": ("LoadPolicy", (
-        ("P0_W", "P0", _NUMBER),
-    )),
-    "policy.reactive": ("LoadPolicy", (
-        ("P0_W", "P0", _NUMBER),
-        ("E_on_J", "E_on", _NUMBER),
-        ("E_off_J", "E_off", _NUMBER),
-        ("shed_fraction", "shed_fraction", _NUMBER),
-    )),
-    "policy.anticipatory": ("LoadPolicy", (
-        ("P0_W", "P0", _NUMBER),
-        ("horizon_s", "horizon", _NUMBER),
-        ("E_target_J", "E_target", _NUMBER),
-        ("shed_fraction", "shed_fraction", _NUMBER),
-        ("gain_W_per_J", "gain", _NUMBER),
-    )),
-    "integrator": ("IntegratorConfig", (
-        ("dt_s", "dt", _NUMBER),
-        ("t_start_s", "t_start", _NUMBER),
-        ("t_end_s", "t_end", _NUMBER),
-    )),
-    "metrics": ("MetricsConfig", (
-        ("baseline_mode", "baseline_mode", _WORD),
-        ("tail_fraction", "tail_fraction", _NUMBER),
-        ("fit_floor_ratio", "fit_floor_ratio", _NUMBER),
-        ("min_fit_samples", "min_fit_samples", _WHOLE),
-        ("tail_correction", "tail_correction", _FLAG),
-        ("horizon_s", "horizon", f"{_NUMBER}|end"),
-        ("recovery_band_ratio", "recovery_band_ratio", _NUMBER),
-    )),
+    "energy": ("EnergyParams", ("E_max_J", "E_min_J", "E_init_J", "E_ref_J")),
+    "solar": ("SolarProfile", ("P_peak_W", "period_s", "shape_exponent")),
+    "disturbance": ("DisturbanceSignal", ("kind", "onset_s", "duration_s", "magnitude")),
+    "policy.passive": ("LoadPolicy", ("P0_W",)),
+    "policy.reactive": ("LoadPolicy", ("P0_W", "E_on_J", "E_off_J", "shed_fraction")),
+    "policy.anticipatory": ("LoadPolicy", ("P0_W", "horizon_s", "E_target_J",
+                                           "shed_fraction", "gain_W_per_J")),
+    "integrator": ("IntegratorConfig", ("dt_s", "t_start_s", "t_end_s")),
+    "metrics": ("MetricsConfig", ("baseline_mode", "tail_fraction", "fit_floor_ratio",
+                                  "min_fit_samples", "tail_correction", "horizon_s",
+                                  "recovery_band_ratio")),
 }
+# A key is the name of the field it sets plus its unit suffix, if any.
+_UNIT_SUFFIX = r"_(W_per_J|J|W|s)$"
+# field annotation -> the kind of its value; an absent horizon is written "end"
+_FIELD_KINDS = {"float": _NUMBER, "int": _WHOLE, "bool": _FLAG, "str": _WORD,
+                "float | None": f"{_NUMBER}|end"}
 
-# The keys a file may leave out, and the text they then read as.
-_CONFIG_OPTIONAL = {
-    ("disturbance", "kind"): "none",
-    ("metrics", "baseline_mode"): "zero",
-    ("metrics", "horizon_s"): "end",
-}
+# The keys a file may leave out; their fields then keep the record's default.
+_CONFIG_OPTIONAL = {("disturbance", "kind"), ("metrics", "baseline_mode"),
+                    ("metrics", "horizon_s")}
+
+
+def _config_schema() -> dict:
+    """section -> (record class, {key: (field, kind)} in file order)."""
+    import re  # already loaded by configparser
+
+    from . import config  # the config types; reading a trajectory needs none
+
+    schema = {}
+    for section, (class_name, keys) in _CONFIG_SECTIONS.items():
+        record = getattr(config, class_name)
+        kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(record)}
+        attrs = [re.sub(_UNIT_SUFFIX, "", key) for key in keys]
+        schema[section] = (record, {key: (attr, kinds[attr])
+                                    for key, attr in zip(keys, attrs)})
+    return schema
 
 
 def _config_parser() -> configparser.ConfigParser:
@@ -473,46 +455,50 @@ def _config_parser() -> configparser.ConfigParser:
 
 def config_to_parser(config: ScenarioConfig) -> configparser.ConfigParser:
     parser = _config_parser()
-    for section, (_, keys) in _CONFIG_SECTIONS.items():
+    for section, (record, keys) in _config_schema().items():
         case_id = section.removeprefix(_POLICY)
         part = (getattr(config, section) if case_id == section
                 else config.policies.get(case_id))
         if part is not None:  # None: a policy the config lacks
-            listed = {attr: getattr(part, attr) for _, attr, _ in keys}
+            listed = {attr: getattr(part, attr) for attr, _ in keys.values()}
             # the written file would drop a field its section has no key for
-            if type(part)(**listed) != part:
+            if record(**listed) != part:
                 raise ConfigurationError(f"[{section}] lacks a key that {part!r} sets")
             parser[section] = {
                 # repr: the shortest lossless form, so configs stay readable
                 key: _format_value(listed[attr], kind, lambda x: repr(float(x)))
-                for key, attr, kind in keys
+                for key, (attr, kind) in keys.items()
             }
     return parser
 
 
-def _config_value(parser, section: str, key: str, kind: str):
-    raw = parser[section].get(key, _CONFIG_OPTIONAL.get((section, key)))
-    if raw is None:
-        raise TableParseError(f"missing config key [{section}] {key}")
-    return _parse_value(raw, kind, f"[{section}] {key}")
-
-
 def parser_to_config(parser: configparser.ConfigParser) -> ScenarioConfig:
-    from . import config  # the config types; reading a trajectory needs none
+    from . import config
 
-    for section in _CONFIG_SECTIONS:
-        if section not in parser and not section.startswith(_POLICY):
-            raise TableParseError(f"missing config section [{section}]")
+    schema = _config_schema()
+    for section in parser.sections():
+        if section not in schema:
+            raise TableParseError(f"unknown config section [{section}]")
     parts, policies = {}, {}
-    for section, (class_name, keys) in _CONFIG_SECTIONS.items():
-        if section in parser:
-            build = getattr(config, class_name)
-            part = build(**{attr: _config_value(parser, section, key, kind)
-                            for key, attr, kind in keys})
-            if section.startswith(_POLICY):
-                policies[section.removeprefix(_POLICY)] = part
-            else:
-                parts[section] = part
+    for section, (record, keys) in schema.items():
+        if section not in parser:
+            if not section.startswith(_POLICY):
+                raise TableParseError(f"missing config section [{section}]")
+            continue
+        entries = parser[section]  # with any [DEFAULT] keys
+        for key in entries:
+            if key not in keys:
+                raise TableParseError(f"unknown config key [{section}] {key}")
+        values = {}
+        for key, (attr, kind) in keys.items():
+            if key in entries:
+                values[attr] = _parse_value(entries[key], kind, f"[{section}] {key}")
+            elif (section, key) not in _CONFIG_OPTIONAL:
+                raise TableParseError(f"missing config key [{section}] {key}")
+        if section.startswith(_POLICY):
+            policies[section.removeprefix(_POLICY)] = record(**values)
+        else:
+            parts[section] = record(**values)
     if not policies:
         raise TableParseError("config defines no [policy.*] section")
     return config.ScenarioConfig(policies=policies, **parts)
