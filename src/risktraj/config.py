@@ -116,11 +116,12 @@ class SolarProfile:
             raise ParameterError(f"P_peak must be > 0, got {self.P_peak}")
         if self.P_peak == math.inf:
             raise ParameterError(f"P_peak must be finite, got {self.P_peak}")
-        if not self.period > 0.0:
-            raise ParameterError(f"period must be > 0, got {self.period}")
-        if self.shape_exponent != 0.0 and not self.shape_exponent >= 1.0:
+        if not 0.0 < self.period < math.inf:
+            raise ParameterError(f"period must be finite and > 0, got {self.period}")
+        if self.shape_exponent != 0.0 and not 1.0 <= self.shape_exponent < math.inf:
             raise ParameterError(
-                f"shape_exponent must be >= 1 (or 0 for flat), got {self.shape_exponent}"
+                f"shape_exponent must be finite and >= 1 (or 0 for flat), "
+                f"got {self.shape_exponent}"
             )
 
 
@@ -181,8 +182,8 @@ class LoadPolicy:
             )
         if not 0.0 <= self.gain < math.inf:
             raise ParameterError(f"gain must be finite and >= 0, got {self.gain}")
-        if math.isnan(self.E_target):
-            raise ParameterError("E_target must be a number, got nan")
+        if not self.E_target < math.inf:
+            raise ParameterError(f"E_target must be finite or -inf, got {self.E_target}")
 
     @property
     def floor(self) -> float:
