@@ -123,6 +123,24 @@ class TestBadConfigValues:
         assert err.startswith("error: bad number for [")
         assert not (tmp_path / "o" / "passive_trajectory.csv").exists()
 
+    @pytest.mark.parametrize("old, new, error", [
+        ("horizon_s = end", "horizn_s = 50", "unknown config key [metrics] horizn_s"),
+        ("[policy.passive]\n", "[policy.passive]\nE_on_J = 30\n",
+         "unknown config key [policy.passive] E_on_J"),
+        ("[integrator]", "[policy.passiv]\nP0_W = 1.0\n\n[integrator]",
+         "unknown config section [policy.passiv]"),
+        # a [DEFAULT] key is a key of every section
+        ("[energy]", "[DEFAULT]\nP0_W = 1.0\n\n[energy]",
+         "unknown config key [energy] P0_W"),
+    ], ids=["misspelt_key", "unlisted_key", "unknown_section", "default_key"])
+    def test_unlisted_section_or_key(self, tmp_path, capsys, old, new, error):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(DEFAULT_CONFIG_PATH.read_text().replace(old, new))
+        code = main(["compare", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "o" / "comparison.txt").exists()
+
     @pytest.mark.parametrize("content", [
         b"[energy\nfoo\n",
         b"[energy]\nE_max_J = 100 \xb5\n",
