@@ -774,6 +774,18 @@ class TestScenarioConfigFile:
         with pytest.raises(TableParseError):
             parser_to_config(parser)
 
+    def test_keys_name_every_record_field(self):
+        # a key's field is the key less its unit suffix and the field's
+        # annotation gives its kind: a key naming no field, or a field of a
+        # kind the table cannot write, raises KeyError here
+        named = {}
+        for record, keys in io_formats._config_schema().values():
+            named.setdefault(record, set()).update(attr for attr, _ in keys.values())
+        # the three policy sections together name every LoadPolicy field
+        for record in (EnergyParams, SolarProfile, DisturbanceSignal, IntegratorConfig,
+                       MetricsConfig, LoadPolicy):
+            assert named[record] == {f.name for f in dataclasses.fields(record)}, record
+
 
 DEFAULT_PARSER = config_to_parser(default_config())
 CONFIG_KEYS = [(s, k) for s in DEFAULT_PARSER.sections() for k in DEFAULT_PARSER[s]]
