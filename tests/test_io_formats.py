@@ -814,7 +814,9 @@ def scenario_configs(draw):
         "passive": LoadPolicy(P0=pos()),
         "reactive": LoadPolicy(P0=pos(), E_on=e_min, E_off=e_max,
                                shed_fraction=unit()),
-        "anticipatory": LoadPolicy(P0=pos(), horizon=pos(),
+        # horizon None: feedback without a forecast, written "end"
+        "anticipatory": LoadPolicy(P0=pos(),
+                                   horizon=draw(st.none() | st.floats(1e-6, 1e6)),
                                    E_target=draw(st.floats(-1e6, 1e6)),
                                    shed_fraction=unit(),
                                    gain=draw(st.floats(0.0, 1e3))),
