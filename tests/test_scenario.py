@@ -280,12 +280,15 @@ class TestScenarioConfigValidation:
         ("solar", "P_peak", math.nan),
         ("solar", "P_peak", math.inf),
         ("solar", "period", math.nan),
+        ("solar", "period", math.inf),
         ("solar", "shape_exponent", math.nan),
+        ("solar", "shape_exponent", math.inf),
         ("disturbance", "onset", math.nan),
         ("disturbance", "onset", math.inf),
         ("disturbance", "onset", -math.inf),
         ("disturbance", "duration", math.nan),
         ("anticipatory", "E_target", math.nan),
+        ("anticipatory", "E_target", math.inf),
     ])
     def test_non_finite_number_refused(self, part, field, value):
         # each of these was accepted, then diverged, ran with no pulse or
