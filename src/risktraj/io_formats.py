@@ -417,8 +417,8 @@ _CONFIG_SECTIONS = {
                                   "min_fit_samples", "tail_correction", "horizon_s",
                                   "recovery_band_ratio")),
 }
-# A key is the name of the field it sets plus its unit suffix, if any.
-_UNIT_SUFFIX = r"_(W_per_J|J|W|s)$"
+# A key is the name of the field it sets plus one of these unit suffixes, if any.
+_UNIT_SUFFIXES = ("_W_per_J", "_J", "_W", "_s")
 # field annotation -> the kind of its value; an absent horizon is written "end"
 _FIELD_KINDS = {"float": _NUMBER, "int": _WHOLE, "bool": _FLAG, "str": _WORD,
                 "float | None": f"{_NUMBER}|end"}
@@ -428,17 +428,23 @@ _CONFIG_OPTIONAL = {("disturbance", "kind"), ("metrics", "baseline_mode"),
                     ("metrics", "horizon_s")}
 
 
+def _key_field(key: str) -> str:
+    """The record field a config key sets: the key less its unit suffix."""
+    for unit in _UNIT_SUFFIXES:
+        if key.endswith(unit):
+            return key.removesuffix(unit)
+    return key
+
+
 def _config_schema() -> dict:
     """section -> (record class, {key: (field, kind)} in file order)."""
-    import re  # already loaded by configparser
-
     from . import config  # the config types; reading a trajectory needs none
 
     schema = {}
     for section, (class_name, keys) in _CONFIG_SECTIONS.items():
         record = getattr(config, class_name)
         kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(record)}
-        attrs = [re.sub(_UNIT_SUFFIX, "", key) for key in keys]
+        attrs = [_key_field(key) for key in keys]
         schema[section] = (record, {key: (attr, kinds[attr])
                                     for key, attr in zip(keys, attrs)})
     return schema
