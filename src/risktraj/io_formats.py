@@ -461,14 +461,14 @@ def _config_parser() -> configparser.ConfigParser:
 
 def config_to_parser(config: ScenarioConfig) -> configparser.ConfigParser:
     parser = _config_parser()
-    for section, (record, keys) in _config_schema().items():
+    for section, (_, keys) in _config_schema().items():
         case_id = section.removeprefix(_POLICY)
         part = (getattr(config, section) if case_id == section
                 else config.policies.get(case_id))
         if part is not None:  # None: a policy the config lacks
             listed = {attr: getattr(part, attr) for attr, _ in keys.values()}
             # the written file would drop a field its section has no key for
-            if record(**listed) != part:
+            if type(part)(**listed) != part:
                 raise ConfigurationError(f"[{section}] lacks a key that {part!r} sets")
             parser[section] = {
                 # repr: the shortest lossless form, so configs stay readable
