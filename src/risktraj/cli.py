@@ -13,6 +13,7 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -92,13 +93,6 @@ def _write_case(out_dir: Path, case_id: str, result, digest: str):
     return table, report_path
 
 
-def _disturbance_window(config) -> tuple[float, float] | None:
-    d = config.disturbance
-    if d.kind != "pulse":
-        return None
-    return (d.onset, d.onset + d.duration)
-
-
 def _cmd_simulate(args) -> int:
     from .scenario import run_case
 
@@ -114,7 +108,7 @@ def _cmd_simulate(args) -> int:
             [table],
             plot_path,
             labels=[args.case],
-            disturbance_window=_disturbance_window(config),
+            disturbance_window=config.disturbance.window,
         )
         print(f"wrote {plot_path}")
     return 0
@@ -127,15 +121,8 @@ def _cmd_analyze(args) -> int:
     table = read_trajectory(args.input, digest)
     traj = table.trajectory("r")
     t0 = traj.grid.t_start if args.t0 is None else args.t0
-    metrics = MetricsConfig(
-        baseline_mode=args.baseline,
-        tail_fraction=args.tail_fraction,
-        fit_floor_ratio=args.fit_floor,
-        min_fit_samples=args.min_fit_samples,
-        tail_correction=not args.no_tail_correction,
-        horizon=args.horizon,
-        recovery_band_ratio=args.recovery_band_ratio,
-    )
+    metrics = MetricsConfig(**{f.name: getattr(args, f.name)
+                               for f in fields(MetricsConfig)})
     report = assemble_report(traj, t0, metrics)
     doc = ReportDocument.from_report(
         report, "external", "sha256:" + digest.hexdigest()[:16]
@@ -179,7 +166,7 @@ def _cmd_compare(args) -> int:
         tables,
         plot_path,
         labels=list(CASE_IDS),
-        disturbance_window=_disturbance_window(config),
+        disturbance_window=config.disturbance.window,
     )
     print(f"wrote {plot_path}")
     return 0
@@ -238,7 +225,7 @@ def _cmd_emit_plot(args) -> int:
     labels = [Path(path).stem for path in args.inputs]
     window = None
     if args.config is not None:
-        window = _disturbance_window(parser_to_config(_load_parser(args.config)))
+        window = parser_to_config(_load_parser(args.config)).disturbance.window
     emit_plot(tables, args.out, labels=labels, disturbance_window=window)
     print(f"wrote {args.out}")
     return 0
@@ -267,17 +254,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--t0", type=float, default=None,
                       help="disturbance onset (default: trajectory start)")
     p_an.add_argument("--out", default=None, help="report path (default: stdout)")
-    metrics = MetricsConfig()  # the flags default to its field defaults
-    p_an.add_argument("--baseline", choices=BASELINE_MODES,
-                      default=metrics.baseline_mode)
-    p_an.add_argument("--tail-fraction", type=float, default=metrics.tail_fraction)
-    p_an.add_argument("--fit-floor", type=float, default=metrics.fit_floor_ratio)
-    p_an.add_argument("--min-fit-samples", type=int, default=metrics.min_fit_samples)
-    p_an.add_argument("--no-tail-correction", action="store_true")
-    p_an.add_argument("--horizon", type=float, default=metrics.horizon)
-    p_an.add_argument("--recovery-band-ratio", type=float,
-                      default=metrics.recovery_band_ratio)
-    p_an.set_defaults(func=_cmd_analyze)
+    # each metric flag stores into the MetricsConfig field of its dest
+    p_an.add_argument("--baseline", dest="baseline_mode", choices=BASELINE_MODES)
+    p_an.add_argument("--tail-fraction", type=float)
+    p_an.add_argument("--fit-floor", dest="fit_floor_ratio", type=float,
+                      metavar="FIT_FLOOR")
+    p_an.add_argument("--min-fit-samples", type=int)
+    p_an.add_argument("--no-tail-correction", dest="tail_correction",
+                      action="store_false")
+    p_an.add_argument("--horizon", type=float)
+    p_an.add_argument("--recovery-band-ratio", type=float)
+    p_an.set_defaults(func=_cmd_analyze, **vars(MetricsConfig()))
 
     p_cmp = sub.add_parser("compare", help="run all three cases and compare")
     p_cmp.add_argument("--config", default="default")

@@ -42,12 +42,19 @@ class DisturbanceSignal:
             if not self.duration >= 0:
                 raise ParameterError(f"pulse duration must be >= 0, got {self.duration}")
 
+    @property
+    def window(self) -> tuple[float, float] | None:
+        """The pulse's window (onset, onset + duration), or None without a pulse."""
+        if self.kind != "pulse":
+            return None
+        return (self.onset, self.onset + self.duration)
+
     def sample(self, times: np.ndarray) -> np.ndarray:
         """d at each of the given times, as a float array."""
-        if self.kind == "none":
+        if self.window is None:
             return np.ones(times.shape)
-        window = (times >= self.onset) & (times < self.onset + self.duration)
-        return np.where(window, self.magnitude, 1.0)
+        start, end = self.window
+        return np.where((times >= start) & (times < end), self.magnitude, 1.0)
 
 
 @dataclass(frozen=True)
@@ -212,14 +219,13 @@ class ScenarioConfig:
             if case_id not in CASE_IDS:
                 raise ConfigurationError(f"unknown case id {case_id!r}")
         d = self.disturbance
-        if d.kind == "pulse":
+        if d.window is not None:
             if not 0.0 <= d.magnitude <= 1.0:
                 raise ConfigurationError(
                     f"disturbance magnitude must be in [0, 1], got {d.magnitude}"
                 )
-            if d.onset < self.integrator.t_start or (
-                d.onset + d.duration > self.integrator.t_end
-            ):
+            start, end = d.window
+            if start < self.integrator.t_start or end > self.integrator.t_end:
                 raise ConfigurationError(
                     "disturbance window must lie inside the integration window"
                 )
@@ -239,5 +245,5 @@ class ScenarioConfig:
     @property
     def t0(self) -> float:
         """Where the metrics start: the pulse's onset, else the run's start."""
-        d = self.disturbance
-        return d.onset if d.kind == "pulse" else self.integrator.t_start
+        window = self.disturbance.window
+        return self.integrator.t_start if window is None else window[0]

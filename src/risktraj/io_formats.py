@@ -543,9 +543,11 @@ def apply_overrides(
 ) -> configparser.ConfigParser:
     """Apply `section.key=value` pairs onto a parsed config, in order.
 
-    Only existing keys may be named; the config schema stays the single
-    source of truth.
+    A pair may name any key the config schema lists for a section the
+    parsed file holds, also one the file leaves out.
     """
+    listed = {(section, key) for section, (_, keys) in _config_schema().items()
+              for key in keys}
     for item in overrides:
         if "=" not in item:
             raise ParameterError(f"override {item!r} is not of the form key=value")
@@ -555,7 +557,7 @@ def apply_overrides(
                 f"override key {path!r} must be qualified as section.key"
             )
         section, key = path.rsplit(".", 1)
-        if section not in parser or key not in parser[section]:
+        if section not in parser or (section, key) not in listed:
             raise ParameterError(f"override names unknown config key {path!r}")
         parser[section][key] = value
     return parser

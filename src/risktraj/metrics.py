@@ -11,7 +11,7 @@ quadrature so the two routes can be compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -96,12 +96,11 @@ class ResilienceReport:
     absent: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("t0", "r0", "t_peak", "lambda_hat", "fit_quality",
-                     "impact_numeric", "impact_closed_form", "steady_state",
-                     "recovery_time"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value}")
+        for f in fields(self):
+            if f.type in ("float", "float | None"):  # the number fields
+                value = getattr(self, f.name)
+                if value is not None and not math.isfinite(value):
+                    raise ParameterError(f"{f.name} must be finite, got {value}")
         if self.recovered != (self.recovery_time is not None):
             raise ParameterError(
                 f"recovered={self.recovered} contradicts "
