@@ -155,6 +155,57 @@ class TestBadConfigValues:
         assert err.startswith("error: config parse failed") and err.count("\n") == 1
 
 
+class TestOverrideOfAnOmittedKey:
+    """--set and sweep --param take any key the schema lists for a section
+    the file holds, also one of the three keys a file may leave out."""
+
+    @pytest.fixture
+    def no_horizon(self, tmp_path):
+        path = tmp_path / "no_horizon.ini"
+        text = DEFAULT_CONFIG_PATH.read_text()
+        assert text.count("horizon_s = end\n") == 1
+        path.write_text(text.replace("horizon_s = end\n", ""))
+        return path
+
+    def test_set_equals_the_file_that_lists_it(self, tmp_path, no_horizon):
+        listed = tmp_path / "horizon_100.ini"
+        listed.write_text(DEFAULT_CONFIG_PATH.read_text().replace(
+            "horizon_s = end", "horizon_s = 100"))
+        set_out, listed_out = tmp_path / "set", tmp_path / "listed"
+        assert main(["compare", "--config", str(no_horizon),
+                     "--set", "metrics.horizon_s=100", "--out", str(set_out)]) == 0
+        assert main(["compare", "--config", str(listed), "--out", str(listed_out)]) == 0
+        summary = (set_out / "comparison.txt").read_text()
+        assert "config_digest = sha256:fb3f513cd0ef4646\n" in summary
+        assert summary == (listed_out / "comparison.txt").read_text()
+
+    def test_sweep(self, tmp_path, no_horizon):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(no_horizon),
+                     "--param", "metrics.horizon_s", "--range", "100:120:2",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["100", "120"]
+
+    @pytest.mark.parametrize("override, trim", [
+        ("metrics.horizn_s=1", ""),
+        ("policy.passiv.P0_W=1", ""),
+        ("policy.passive.P0_W=1", "[policy.passive]\nP0_W = 2.75\n\n"),
+    ], ids=["misspelt_key", "misspelt_section", "section_the_file_lacks"])
+    def test_unlisted_key_or_absent_section(self, tmp_path, capsys, no_horizon,
+                                            override, trim):
+        text = no_horizon.read_text()
+        assert trim in text
+        no_horizon.write_text(text.replace(trim, ""))
+        code = main(["compare", "--config", str(no_horizon), "--set", override,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        path = override.partition("=")[0]
+        assert capsys.readouterr().err == (
+            f"error: override names unknown config key {path!r}\n")
+        assert not (tmp_path / "o").exists()
+
+
 class TestAnalyze:
     def test_matches_generator_rate(self, tmp_path, capsys):
         csv = tmp_path / "exp.csv"
