@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import risktraj
-from risktraj.cli import _parse_range, main
+from risktraj.cli import _build_parser, _parse_range, main
 from risktraj.config import MAX_STEPS
 from risktraj.errors import RisktrajError
 from risktraj.io_formats import (
@@ -20,6 +21,7 @@ from risktraj.io_formats import (
     report_from_text,
     write_trajectory,
 )
+from risktraj.metrics import MetricsConfig
 
 FAST = ["--set", "integrator.dt_s=0.01", "--set", "integrator.t_end_s=72"]
 COARSE_SWEEP = ["--set", "integrator.dt_s=0.02", "--set", "integrator.t_end_s=60"]
@@ -365,6 +367,68 @@ class TestAnalyze:
         doc = report_from_text(capsys.readouterr().out)
         assert doc.lambda_hat == pytest.approx(1.2, rel=1e-3)
         assert doc.steady_state == pytest.approx(0.3, abs=1e-4)
+
+
+ANALYZE_HELP = """\
+usage: risktraj analyze [-h] [--t0 T0] [--out OUT]
+                        [--baseline {zero,steady_state}]
+                        [--tail-fraction TAIL_FRACTION]
+                        [--fit-floor FIT_FLOOR]
+                        [--min-fit-samples MIN_FIT_SAMPLES]
+                        [--no-tail-correction] [--horizon HORIZON]
+                        [--recovery-band-ratio RECOVERY_BAND_RATIO]
+                        input
+
+positional arguments:
+  input                 trajectory CSV with an r column
+
+options:
+  -h, --help            show this help message and exit
+  --t0 T0               disturbance onset (default: trajectory start)
+  --out OUT             report path (default: stdout)
+  --baseline {zero,steady_state}
+  --tail-fraction TAIL_FRACTION
+  --fit-floor FIT_FLOOR
+  --min-fit-samples MIN_FIT_SAMPLES
+  --no-tail-correction
+  --horizon HORIZON
+  --recovery-band-ratio RECOVERY_BAND_RATIO
+"""
+
+# each analyze metric flag, the MetricsConfig field it sets and a value for it
+METRIC_FLAGS = {
+    "baseline_mode": (["--baseline", "steady_state"], "steady_state"),
+    "tail_fraction": (["--tail-fraction", "0.5"], 0.5),
+    "fit_floor_ratio": (["--fit-floor", "0.2"], 0.2),
+    "min_fit_samples": (["--min-fit-samples", "20"], 20),
+    "tail_correction": (["--no-tail-correction"], False),
+    "horizon": (["--horizon", "60"], 60.0),
+    "recovery_band_ratio": (["--recovery-band-ratio", "0.1"], 0.1),
+}
+
+
+class TestAnalyzeFlags:
+    """analyze's metric flags are the MetricsConfig fields, one flag each."""
+
+    def test_defaults_are_the_record_defaults(self):
+        args = vars(_build_parser().parse_args(["analyze", "x.csv"]))
+        names = [f.name for f in dataclasses.fields(MetricsConfig)]
+        assert set(METRIC_FLAGS) == set(names)
+        assert {name: args[name] for name in names} == vars(MetricsConfig())
+
+    @pytest.mark.parametrize("name", METRIC_FLAGS)
+    def test_flag_sets_its_field_only(self, name):
+        flag, value = METRIC_FLAGS[name]
+        parse = _build_parser().parse_args
+        args = vars(parse(["analyze", "x.csv", *flag]))
+        assert args == {**vars(parse(["analyze", "x.csv"])), name: value}
+
+    def test_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == ANALYZE_HELP
 
 
 class TestCompare:
