@@ -487,6 +487,14 @@ class TestSweep:
         values = [float(line.split(",")[0]) for line in lines[1:]]
         assert values == sorted(values) and len(values) == 3
 
+    def test_range_of_two_parts(self, tmp_path, capsys):
+        code = main(["sweep", "--param", "disturbance.magnitude",
+                     "--range", "1:2", "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: range '1:2' is not of the form start:stop:count\n")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_stop_below_start(self, tmp_path, capsys):
         code = main(["sweep", "--param", "disturbance.magnitude",
                      "--range", "0.5:0.1:3", "--out", str(tmp_path / "s.csv")])

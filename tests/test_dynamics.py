@@ -143,6 +143,11 @@ class TestIntegrate:
             run(linear_decay_system(1.0), [1.0, 2.0],
                 IntegratorConfig(dt=0.1, t_start=0.0, t_end=1.0))
 
+    def test_non_finite_x0(self):
+        with pytest.raises(ParameterError, match=r"^x0 must be finite$"):
+            integrate(linear_decay_system(1.0), math.nan, NO_DIST,
+                      IntegratorConfig(dt=0.1, t_start=0.0, t_end=1.0))
+
     def test_float_x0_matches_length1_array(self):
         config = IntegratorConfig(dt=0.1, t_start=0.0, t_end=1.0)
         a = integrate(linear_decay_system(1.0), 2.0, NO_DIST, config)

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import tracemalloc
 import warnings
 from importlib import resources
@@ -42,7 +43,12 @@ from risktraj.io_formats import (
     write_scenario_config,
     write_trajectory,
 )
-from risktraj.metrics import BASELINE_MODES, MetricsConfig, assemble_report
+from risktraj.metrics import (
+    BASELINE_MODES,
+    MetricsConfig,
+    ResilienceReport,
+    assemble_report,
+)
 from risktraj.scenario import default_config, run_case
 from risktraj.svgplot import emit_plot
 from risktraj.trajectory import TimeGrid, Trajectory
@@ -56,6 +62,18 @@ def small_table():
 
 
 class TestTrajectoryTable:
+    @pytest.mark.parametrize("t, signals, message", [
+        ([0.0], {"r": [1.0]}, "need at least two rows"),
+        ([0.0, math.nan], {"r": [1.0, 1.0]}, "non-finite time value"),
+        ([1.0, 0.0], {"r": [1.0, 1.0]}, "t must be strictly increasing"),
+        ([0.0, 1.0], {}, "table needs at least one signal column"),
+        ([0.0, 1.0], {"r": [1.0]}, "column 'r' has 1 rows, expected 2"),
+        ([0.0, 1.0], {"r": [1.0, math.inf]}, "non-finite value in column 'r'"),
+    ])
+    def test_constructor_refusals(self, t, signals, message):
+        with pytest.raises(ParameterError, match=rf"^{re.escape(message)}$"):
+            TrajectoryTable(t=np.array(t), signals=signals)
+
     def test_round_trip_equality(self, tmp_path):
         path = tmp_path / "table.csv"
         table = small_table()
@@ -637,6 +655,11 @@ def sample_document(**overrides):
     return ReportDocument(**fields)
 
 
+# the report fields that hold a number (in sample_document, a float)
+REPORT_NUMBERS = [f.name for f in dataclasses.fields(ResilienceReport)
+                  if type(getattr(sample_document(), f.name)) is float]
+
+
 class TestReportDocument:
     def test_round_trip_equality(self):
         doc = sample_document()
@@ -684,6 +707,18 @@ class TestReportDocument:
     def test_report_invariants_on_construction(self, overrides):
         with pytest.raises(ParameterError):
             sample_document(**overrides)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", REPORT_NUMBERS)
+    def test_non_finite_number_refused(self, name, value):
+        message = rf"^{name} must be finite, got {value}$"
+        with pytest.raises(ParameterError, match=message):
+            sample_document(**{name: value})
+
+    def test_reader_refuses_a_duplicate_key(self):
+        text = report_to_text(sample_document())
+        with pytest.raises(TableParseError, match=r"^line 16: duplicate key 'r0'$"):
+            report_from_text(text + "r0 = 1\n")
 
     def test_not_recovered_marker(self):
         doc = sample_document(recovery_time=None, recovered=False)
@@ -772,6 +807,18 @@ class TestScenarioConfigFile:
         parser.optionxform = str
         parser.read_string("[energy]\nE_max_J = 10\n")
         with pytest.raises(TableParseError):
+            parser_to_config(parser)
+
+    @pytest.mark.parametrize("dropped, message", [
+        (["energy"], "missing config section [energy]"),
+        (["policy.passive", "policy.reactive", "policy.anticipatory"],
+         "config defines no [policy.*] section"),
+    ])
+    def test_missing_sections(self, dropped, message):
+        parser = config_to_parser(default_config())
+        for section in dropped:
+            assert parser.remove_section(section)
+        with pytest.raises(TableParseError, match=rf"^{re.escape(message)}$"):
             parser_to_config(parser)
 
     def test_keys_name_every_record_field(self):
@@ -912,6 +959,12 @@ class TestEmitPlot:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
             emit_plot([], tmp_path / "fig.svg")
+
+    def test_more_labels_than_tables_rejected(self, tmp_path):
+        path = tmp_path / "fig.svg"
+        with pytest.raises(ParameterError, match=r"^2 labels for 1 tables$"):
+            emit_plot(self.three_tables()[:1], path, labels=["a", "b"])
+        assert not path.exists()
 
     def test_misaligned_grids_rejected(self, tmp_path):
         tables = self.three_tables()

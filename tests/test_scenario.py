@@ -309,6 +309,12 @@ class TestScenarioConfigValidation:
         with pytest.raises(ConfigurationError):
             run_case("bogus", default_config())
 
+    def test_policy_under_an_unknown_case_id(self):
+        config = default_config()
+        with pytest.raises(ConfigurationError, match=r"^unknown case id 'bogus'$"):
+            dataclasses.replace(config, policies={**config.policies,
+                                                  "bogus": config.policies["passive"]})
+
 
 def balanced_flat_config():
     """P_in == P0 exactly and E starting at E_ref: a true equilibrium."""

@@ -36,6 +36,8 @@ class TestTimeGrid:
             TimeGrid(t_start=0.0, dt=-1.0, n_samples=5)
         with pytest.raises(ParameterError):
             TimeGrid(t_start=0.0, dt=1.0, n_samples=1)
+        with pytest.raises(ParameterError, match=r"^t_start must be finite, got inf$"):
+            TimeGrid(t_start=math.inf, dt=1.0, n_samples=5)
 
     def test_index_at_or_after(self):
         grid = TimeGrid(t_start=0.0, dt=0.5, n_samples=5)
