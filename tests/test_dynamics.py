@@ -31,6 +31,12 @@ class TestDisturbance:
         sig = DisturbanceSignal(kind="pulse", onset=5.0, duration=2.0, magnitude=0.2)
         assert sig.sample(np.array([7.0, 4.999])).tolist() == [1.0, 1.0]
 
+    def test_window(self):
+        sig = DisturbanceSignal(kind="pulse", onset=5.0, duration=2.0, magnitude=0.2)
+        assert sig.window == (5.0, 7.0)
+        # a pulse's fields without kind "pulse" are no window
+        assert DisturbanceSignal(onset=5.0, duration=2.0, magnitude=0.2).window is None
+
     def test_bad_kind(self):
         with pytest.raises(ParameterError):
             DisturbanceSignal(kind="step")
