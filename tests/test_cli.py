@@ -236,6 +236,12 @@ class TestAnalyze:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_horizon_before_t0(self, tmp_path, capsys):
+        csv = tmp_path / "exp.csv"
+        write_exp_csv(csv)
+        assert main(["analyze", str(csv), "--t0", "20", "--horizon", "10"]) == 1
+        assert capsys.readouterr().err == "error: horizon 10.0 precedes t0 20.0\n"
+
     def test_nan_file_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,r\n0,1\n0.5,nan\n1,0.5\n")

@@ -150,6 +150,10 @@ class TestTrajectoryParsingErrors:
         with pytest.raises(TableParseError, match="line 3"):
             table_from_text(text)
 
+    def test_duplicate_column_names(self):
+        with pytest.raises(TableParseError, match=r"^line 1: duplicate column names$"):
+            table_from_text("t,r,r\n0,1,1\n1,1,1\n")
+
     def test_non_numeric_cell(self):
         text = "t,r\n0,1\n0.5,abc\n"
         with pytest.raises(TableParseError, match="line 3"):
