@@ -509,7 +509,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("param, runs", [
         ("policy.anticipatory.gain_W_per_J", 2 + 3),  # passive, reactive once
+        ("policy.reactive.E_on_J", 1 + 3 + 1),  # passive, anticipatory once
         ("solar.P_peak_W", 3 * 3),
+        ("metrics.min_fit_samples", 3 * 3),
     ])
     def test_unchanged_cases_run_once(self, tmp_path, monkeypatch, param, runs):
         calls = []
@@ -526,16 +528,18 @@ class TestSweep:
 
     def test_reuse_matches_per_value_runs(self, tmp_path):
         # Each 1-point sweep runs all three cases; together they must give
-        # the bytes of the 3-point sweep that reuses passive and reactive.
-        def sweep(spec, name):
-            out = tmp_path / name
-            assert main(["sweep", "--param", "policy.anticipatory.gain_W_per_J",
-                         "--range", spec, "--out", str(out), *COARSE_SWEEP]) == 0
+        # the bytes of the 3-point sweep that reuses the two other cases.
+        def sweep(param, spec):
+            out = tmp_path / "s.csv"
+            assert main(["sweep", "--param", param, "--range", spec,
+                         "--out", str(out), *COARSE_SWEEP]) == 0
             return out.read_text().splitlines()
 
-        whole = sweep("0:2:3", "whole.csv")
-        parts = [sweep(f"{v}:{v}:1", f"{v}.csv") for v in ("0", "1", "2")]
-        assert whole == parts[0][:1] + [part[1] for part in parts]
+        for param, values in (("policy.anticipatory.gain_W_per_J", ("0", "1", "2")),
+                              ("policy.reactive.E_on_J", ("30", "35", "40"))):
+            whole = sweep(param, f"{values[0]}:{values[-1]}:3")
+            parts = [sweep(param, f"{v}:{v}:1") for v in values]
+            assert whole == parts[0][:1] + [part[1] for part in parts]
 
     def test_reads_its_config_once(self, tmp_path, monkeypatch):
         reads = []
