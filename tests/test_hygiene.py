@@ -1,0 +1,51 @@
+"""Dead code checks on the package source, with the standard library's ast.
+
+Every import in a module of src/risktraj is used in that module, and
+every module-level single-underscore name is referenced somewhere in the
+package, so a deletion cannot leave an unused import or helper behind.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "risktraj"
+MODULES = {path.name: ast.parse(path.read_text(), str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+PRIVATE = re.compile(r"_[^_]")
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Names a tree reads: bare names and attributes."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    tree = MODULES[module]
+    bound = {(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    assert bound - {"annotations"} - _loaded_names(tree) == set()
+
+
+def test_every_private_module_name_is_referenced():
+    defined = set()
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined |= {(module, name) for name in names if PRIVATE.match(name)}
+    referenced = set().union(*map(_loaded_names, MODULES.values())) | {
+        alias.name for tree in MODULES.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {(module, name) for module, name in defined if name not in referenced} == set()
