@@ -46,12 +46,12 @@ _COMPARISON_SCHEMA = "risktraj.comparison.v1"
 _NEGATIVE_VALUE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
 
 
-def compare_cases(config, reuse=None):
+def compare_cases(config):
     """scenario.compare_cases. The simulator (scenario, dynamics) is imported
     only by the commands that run it, so `analyze` starts without it."""
     from .scenario import compare_cases
 
-    return compare_cases(config, reuse)
+    return compare_cases(config)
 
 
 def emit_plot(tables, destination, labels=None, disturbance_window=None):
@@ -197,21 +197,29 @@ def _parse_range(spec: str) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
+    from .scenario import run_case
+
     # the config is parsed once; probing the parameter path with 0 makes a
     # bad name fail before any run, and each value then overwrites that key
     parser = _load_parser(args.config, [*(args.set or []), f"{args.param}=0"])
     values = _parse_range(args.range)
+    # A [policy.<case>] key reruns that case alone, any other key all three;
+    # a case the key leaves alone keeps the first value's report.
+    section = args.param.rsplit(".", 1)[0]
+    rerun = [case_id for case_id in CASE_IDS
+             if not section.startswith("policy.") or section == f"policy.{case_id}"]
 
     lines = [",".join(["value"] + [f"{case_id}_{key}" for case_id in CASE_IDS
                                    for key in ("r0", "lambda_hat", "impact")])]
-    first = None  # the first value's comparison: cases it leaves unchanged are reused
+    reports = {}
     for value in values:
         apply_overrides(parser, [f"{args.param}={format_number(value)}"])
-        comparison = compare_cases(parser_to_config(parser), reuse=first)
-        first = first or comparison
+        config = parser_to_config(parser)
+        for case_id in rerun if reports else CASE_IDS:
+            reports[case_id] = run_case(case_id, config).report
         cells = [format_number(value)]
         for case_id in CASE_IDS:
-            rep = comparison.cases[case_id].report
+            rep = reports[case_id]
             lam = "" if rep.lambda_hat is None else format_number(rep.lambda_hat)
             cells += [format_number(rep.r0), lam, format_number(rep.impact_numeric)]
         lines.append(",".join(cells))

@@ -190,7 +190,6 @@ class ComparisonResult:
     cases: Mapping[str, CaseResult]
     r0_ordering_holds: bool       # r0 passive >= reactive >= anticipatory
     impact_ordering_holds: bool   # impact passive > reactive > anticipatory
-    config: ScenarioConfig
 
 
 def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
@@ -226,30 +225,9 @@ def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
     )
 
 
-def _case_slice(case_id: str, config: ScenarioConfig) -> str:
-    """What a run of case_id reads of config: all but the other policies.
-
-    Compared by repr, which tells -0.0 from 0.0 where == does not.
-    """
-    return repr((config.energy, config.solar, config.disturbance,
-                 config.integrator, config.metrics, config.policies.get(case_id)))
-
-
-def compare_cases(
-    config: ScenarioConfig, reuse: ComparisonResult | None = None
-) -> ComparisonResult:
-    """Run all three cases on shared settings and check the orderings.
-
-    A case whose slice of config is the same in the earlier comparison
-    reuse is taken from it instead of being run again.
-    """
-    cases = {
-        case_id: reuse.cases[case_id]
-        if reuse is not None
-        and _case_slice(case_id, reuse.config) == _case_slice(case_id, config)
-        else run_case(case_id, config)
-        for case_id in CASE_IDS
-    }
+def compare_cases(config: ScenarioConfig) -> ComparisonResult:
+    """Run all three cases on shared settings and check the orderings."""
+    cases = {case_id: run_case(case_id, config) for case_id in CASE_IDS}
     r = {cid: cases[cid].report for cid in CASE_IDS}
     r0_ok = (
         r["passive"].r0 >= r["reactive"].r0 >= r["anticipatory"].r0
@@ -261,7 +239,6 @@ def compare_cases(
     )
     return ComparisonResult(
         cases=cases, r0_ordering_holds=r0_ok, impact_ordering_holds=impact_ok,
-        config=config,
     )
 
 
