@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,11 @@ class TestIntegrate:
         sig = DisturbanceSignal(kind="pulse", onset=1.0, duration=0.5, magnitude=0.2)
         with pytest.warns(UserWarning, match="duration"):
             run(linear_decay_system(1.0), [1.0], config, sig)
+        # without a pulse the duration is not read
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run(linear_decay_system(1.0), [1.0], config,
+                DisturbanceSignal(kind="none", duration=0.5))
 
     def test_mode_updates_once_per_step(self):
         # mode counts steps; rhs slope follows the frozen mode
