@@ -149,7 +149,7 @@ def integrate(
     x = x0.item()
     if not math.isfinite(x):
         raise ParameterError("x0 must be finite")
-    if disturbance.kind == "pulse" and disturbance.duration < 10 * config.dt:
+    if disturbance.window is not None and disturbance.duration < 10 * config.dt:
         warnings.warn(
             f"pulse duration {disturbance.duration} is below 10*dt={10 * config.dt}; "
             "edge errors may dominate",
