@@ -228,19 +228,16 @@ def integrate(
                     span = min(2 * span, _BLOCK_STEPS)
                     continue
                 span = max(2 * p, _MIN_SPAN)
-            # scalar steps from j until one ends where a pass may open
-            for j in range(j, m):
-                if mode_update is not None:
-                    mode = mode_update(lo + j, x, mode)
-                    modes.append(mode)
-                um = a_mid[j]
-                k1 = rhs(x, a_edge[j], mode)
-                k2 = rhs(x + half * k1, um, mode)
-                k3 = rhs(x + half * k2, um, mode)
-                k4 = rhs(x + dt * k3, a_edge[j + 1], mode)
-                x = store(lo + j + 1, x + sixth * (k1 + 2.0 * (k2 + k3) + k4))
-                if free_lo < x < free_hi:
-                    break
+            # one scalar step; the next turn opens a pass if it ends where one may
+            if mode_update is not None:
+                mode = mode_update(lo + j, x, mode)
+                modes.append(mode)
+            um = a_mid[j]
+            k1 = rhs(x, a_edge[j], mode)
+            k2 = rhs(x + half * k1, um, mode)
+            k3 = rhs(x + half * k2, um, mode)
+            k4 = rhs(x + dt * k3, a_edge[j + 1], mode)
+            x = store(lo + j + 1, x + sixth * (k1 + 2.0 * (k2 + k3) + k4))
             j += 1
         u1 = a_edge[-1]
 
