@@ -354,18 +354,21 @@ def report_to_text(doc: ReportDocument) -> str:
 def report_from_text(text: str) -> ReportDocument:
     entries: dict[str, str] = {}
     absent: dict[str, str] = {}
+    keys = {"schema", *(key for key, _, _ in _REPORT_KEYS)}
+    report_fields = {f.name for f in fields(ResilienceReport)}  # absent.<field>
     for idx, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         if " = " not in line:
             raise TableParseError(f"expected 'key = value', got {line!r}", line_no=idx)
         key, value = line.split(" = ", 1)
-        if key.startswith("absent."):
-            absent[key[len("absent."):]] = value
-        else:
-            if key in entries:
-                raise TableParseError(f"duplicate key {key!r}", line_no=idx)
-            entries[key] = value
+        name = key.removeprefix("absent.")
+        known, into = (keys, entries) if name == key else (report_fields, absent)
+        if name not in known:
+            raise TableParseError(f"unknown report key {key!r}", line_no=idx)
+        if name in into:
+            raise TableParseError(f"duplicate key {key!r}", line_no=idx)
+        into[name] = value
 
     def need(key: str) -> str:
         if key not in entries:

@@ -106,6 +106,9 @@ class ResilienceReport:
                 f"recovered={self.recovered} contradicts "
                 f"recovery_time={self.recovery_time}"
             )
+        for name in self.absent:
+            if name not in {f.name for f in fields(ResilienceReport)}:
+                raise ParameterError(f"absent names {name!r}, which is no report field")
         if (self.lambda_hat is None) != ("lambda_hat" in self.absent):
             raise ParameterError(
                 "lambda_hat must be absent exactly when absent.lambda_hat gives a reason"
