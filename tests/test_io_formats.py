@@ -707,6 +707,7 @@ class TestReportDocument:
         {"recovery_time": None},
         {"lambda_hat": None},
         {"absent": {"lambda_hat": "no fit"}},
+        {"absent": {"bogus": "no fit"}},
     ])
     def test_report_invariants_on_construction(self, overrides):
         with pytest.raises(ParameterError):
@@ -723,6 +724,23 @@ class TestReportDocument:
         text = report_to_text(sample_document())
         with pytest.raises(TableParseError, match=r"^line 16: duplicate key 'r0'$"):
             report_from_text(text + "r0 = 1\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("r0_typo = 7", "unknown report key 'r0_typo'"),
+        ("absent.r9 = no fit", "unknown report key 'absent.r9'"),
+        ("absent.lambda_hat = no fit", "duplicate key 'absent.lambda_hat'"),
+    ])
+    def test_reader_refuses_a_key_it_would_drop(self, line, message):
+        reason = "no positive peak deviation"
+        doc = sample_document(
+            lambda_hat=None, fit_quality=None, impact_closed_form=None,
+            tail_corrected=False, absent=dict.fromkeys(
+                ("lambda_hat", "fit_quality", "impact_closed_form"), reason),
+        )
+        text = report_to_text(doc)
+        assert text.count("\n") == 18
+        with pytest.raises(TableParseError, match=rf"^line 19: {message}$"):
+            report_from_text(text + line + "\n")
 
     def test_not_recovered_marker(self):
         doc = sample_document(recovery_time=None, recovered=False)
