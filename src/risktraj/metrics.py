@@ -106,8 +106,9 @@ class ResilienceReport:
                 f"recovered={self.recovered} contradicts "
                 f"recovery_time={self.recovery_time}"
             )
+        names = {f.name for f in fields(ResilienceReport)}
         for name in self.absent:
-            if name not in {f.name for f in fields(ResilienceReport)}:
+            if name not in names:
                 raise ParameterError(f"absent names {name!r}, which is no report field")
         if (self.lambda_hat is None) != ("lambda_hat" in self.absent):
             raise ParameterError(
