@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, TableParseError
-from .metrics import ResilienceReport
+from .metrics import ABSENT_METRICS, ResilienceReport
 from .trajectory import TimeGrid, Trajectory
 
 if TYPE_CHECKING:
@@ -355,7 +355,6 @@ def report_from_text(text: str) -> ReportDocument:
     entries: dict[str, str] = {}
     absent: dict[str, str] = {}
     keys = {"schema", *(key for key, _, _ in _REPORT_KEYS)}
-    report_fields = {f.name for f in fields(ResilienceReport)}  # absent.<field>
     for idx, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -363,7 +362,7 @@ def report_from_text(text: str) -> ReportDocument:
             raise TableParseError(f"expected 'key = value', got {line!r}", line_no=idx)
         key, value = line.split(" = ", 1)
         name = key.removeprefix("absent.")
-        known, into = (keys, entries) if name == key else (report_fields, absent)
+        known, into = (keys, entries) if name == key else (ABSENT_METRICS, absent)
         if name not in known:
             raise TableParseError(f"unknown report key {key!r}", line_no=idx)
         if name in into:

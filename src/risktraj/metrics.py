@@ -24,6 +24,8 @@ from .errors import (
 from .trajectory import Trajectory, estimate_steady_state
 
 BASELINE_MODES = ("zero", "steady_state")
+# The metrics a report may lack, all for the one reason the damping fit gave.
+ABSENT_METRICS = ("lambda_hat", "fit_quality", "impact_closed_form")
 
 
 @dataclass(frozen=True)
@@ -74,12 +76,13 @@ class MetricsConfig:
 class ResilienceReport:
     """Concrete realization of the resilience functional for one trajectory.
 
-    Fields that could not be computed are None, with the reason recorded
+    Metrics that could not be computed are None, with the reason recorded
     in `absent` (keyed by field name). recovery_time None means the
     deviation never settled inside the recovery band. Every report, built
     by assemble_report or read back from text, holds finite numbers,
-    recovered exactly when recovery_time is set, and lambda_hat None
-    exactly when absent names it.
+    recovered exactly when recovery_time is set, each of ABSENT_METRICS
+    None exactly when absent names it, absent naming nothing else, and
+    tail_corrected false when lambda_hat is None.
     """
 
     t0: float
@@ -106,14 +109,16 @@ class ResilienceReport:
                 f"recovered={self.recovered} contradicts "
                 f"recovery_time={self.recovery_time}"
             )
-        names = {f.name for f in fields(ResilienceReport)}
         for name in self.absent:
-            if name not in names:
-                raise ParameterError(f"absent names {name!r}, which is no report field")
-        if (self.lambda_hat is None) != ("lambda_hat" in self.absent):
-            raise ParameterError(
-                "lambda_hat must be absent exactly when absent.lambda_hat gives a reason"
-            )
+            if name not in ABSENT_METRICS:
+                raise ParameterError(f"absent names {name!r}, which may not be absent")
+        for name in ABSENT_METRICS:
+            if (getattr(self, name) is None) != (name in self.absent):
+                raise ParameterError(
+                    f"{name} must be absent exactly when absent.{name} gives a reason"
+                )
+        if self.tail_corrected and self.lambda_hat is None:
+            raise ParameterError("tail_corrected needs lambda_hat")
 
 
 def peak_deviation(
@@ -208,13 +213,12 @@ def closed_form_impact(r0: float, lam: float) -> float:
 
 
 def recovery_time(
-    traj: Trajectory, t0: float, baseline: float, band: float
+    traj: Trajectory, t_peak: float, baseline: float, band: float
 ) -> float | None:
-    """First time at or after the peak from which |value - baseline| stays
+    """First time at or after t_peak from which |value - baseline| stays
     within the band through the trajectory end; None if it never settles."""
     if band <= 0.0:
         raise ParameterError(f"band must be > 0, got {band}")
-    _, t_peak = peak_deviation(traj, t0, baseline)
     i_pk = traj.grid.index_at_or_after(t_peak)
     outside = np.abs(traj.values[i_pk:] - baseline) > band
     violations = np.flatnonzero(outside)
@@ -242,30 +246,25 @@ def assemble_report(
     baseline = (0.0 if config.baseline_mode == "zero"
                 else estimate_steady_state(traj, config.tail_fraction))
 
-    absent: dict[str, str] = {}
     r0, t_peak = peak_deviation(traj, t0, baseline)
 
-    lambda_hat: float | None = None
-    fit_quality: float | None = None
+    lambda_hat = fit_quality = impact_closed_form = None
+    reason = "no positive peak deviation"
     if r0 > 0.0:
         try:
             lambda_hat, fit_quality = estimate_damping(traj, t_peak, baseline, config)
+            impact_closed_form = closed_form_impact(r0, lambda_hat)
         except (InsufficientRecoveryDataError, NoDampingError) as exc:
-            absent["lambda_hat"] = str(exc)
-    else:
-        absent["lambda_hat"] = "no positive peak deviation"
-    if lambda_hat is None:
-        absent.setdefault("fit_quality", absent["lambda_hat"])
-        absent.setdefault("impact_closed_form", absent["lambda_hat"])
+            reason = str(exc)
+    absent = {} if lambda_hat is not None else dict.fromkeys(ABSENT_METRICS, reason)
 
     impact_numeric = cumulative_impact(traj, t0, baseline, config, lambda_hat)
     tail_corrected = bool(config.tail_correction and lambda_hat is not None)
-    impact_closed_form = None if lambda_hat is None else r0 / lambda_hat
 
     if r0 > 0.0:
         # a band that rounds to 0 is read as the least positive double
         band = max(config.recovery_band_ratio * r0, 5e-324)
-        rec = recovery_time(traj, t0, baseline, band)
+        rec = recovery_time(traj, t_peak, baseline, band)
     else:
         rec = t_peak
 
