@@ -708,6 +708,12 @@ class TestReportDocument:
         {"lambda_hat": None},
         {"absent": {"lambda_hat": "no fit"}},
         {"absent": {"bogus": "no fit"}},
+        {"fit_quality": None},
+        {"impact_closed_form": None},
+        {"absent": {"r0": "no fit"}},
+        {"lambda_hat": None, "fit_quality": None, "impact_closed_form": None,
+         "absent": dict.fromkeys(
+             ("lambda_hat", "fit_quality", "impact_closed_form"), "no fit")},
     ])
     def test_report_invariants_on_construction(self, overrides):
         with pytest.raises(ParameterError):
@@ -729,6 +735,8 @@ class TestReportDocument:
         ("r0_typo = 7", "unknown report key 'r0_typo'"),
         ("absent.r9 = no fit", "unknown report key 'absent.r9'"),
         ("absent.lambda_hat = no fit", "duplicate key 'absent.lambda_hat'"),
+        ("absent.r0 = no fit", "unknown report key 'absent.r0'"),
+        ("absent.absent = no fit", "unknown report key 'absent.absent'"),
     ])
     def test_reader_refuses_a_key_it_would_drop(self, line, message):
         reason = "no positive peak deviation"
