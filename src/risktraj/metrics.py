@@ -194,8 +194,7 @@ def cumulative_impact(
     horizon = grid.t_end if config.horizon is None else config.horizon
     if horizon < t0:
         raise ParameterError(f"horizon {horizon} precedes t0 {t0}")
-    i1 = math.floor((min(horizon, grid.t_end) - grid.t_start) / grid.dt + 1e-9)
-    i1 = min(max(i1, i0), grid.n_samples - 1)
+    i1 = max(grid.index_at_or_before(min(horizon, grid.t_end)), i0)
     integrand = np.clip(traj.values[i0:i1 + 1] - baseline, 0.0, None)
     impact = float(np.trapezoid(integrand, dx=grid.dt)) if i1 > i0 else 0.0
     if config.tail_correction and lambda_hat is not None and lambda_hat > 0.0:

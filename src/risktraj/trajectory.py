@@ -46,18 +46,37 @@ class TimeGrid:
         return self.t_start + self.dt * np.arange(self.n_samples)
 
     def index_at_or_after(self, t: float) -> int:
-        """Smallest sample index k with time_at(k) >= t (up to half-step slack).
+        """Smallest sample index k with time_at(k) >= t, clamped to the grid.
 
-        Raises ParameterError when t is not finite or lies outside the grid span.
+        A t up to 1e-9 steps past time_at(k) still maps to k; time_at(k)
+        itself always maps to k. Raises ParameterError when t is not finite
+        or lies more than half a step outside the grid span.
         """
+        self._check_in_span(t)
+        k = math.ceil((t - self.t_start) / self.dt - 1e-9)
+        if self.time_at(k - 1) >= t:  # the quotient rounded up past a grid time
+            k -= 1
+        return min(max(k, 0), self.n_samples - 1)
+
+    def index_at_or_before(self, t: float) -> int:
+        """Largest sample index k with time_at(k) <= t, clamped to the grid.
+
+        The mirror of index_at_or_after: a t up to 1e-9 steps short of
+        time_at(k) still maps to k, and time_at(k) itself always maps to k.
+        """
+        self._check_in_span(t)
+        k = math.floor((t - self.t_start) / self.dt + 1e-9)
+        if self.time_at(k + 1) <= t:  # the quotient rounded down past a grid time
+            k += 1
+        return min(max(k, 0), self.n_samples - 1)
+
+    def _check_in_span(self, t: float) -> None:
         if not math.isfinite(t):
             raise ParameterError(f"time {t} is not finite")
         if t < self.t_start - 0.5 * self.dt or t > self.t_end + 0.5 * self.dt:
             raise ParameterError(
                 f"time {t} outside trajectory range [{self.t_start}, {self.t_end}]"
             )
-        k = math.ceil((t - self.t_start) / self.dt - 1e-9)
-        return min(max(k, 0), self.n_samples - 1)
 
 
 @dataclass(frozen=True)
