@@ -253,6 +253,24 @@ class TestAssembleReport:
         assert shifted.recovery_time == pytest.approx(
             base.recovery_time + delta, abs=1e-9)
 
+    def test_one_sample_spike_report_does_not_depend_on_origin(self):
+        # the peak is the spike at sample 3; the fit must start there, not
+        # at sample 4, wherever the grid begins
+        values = np.exp(-2.0 * 1e-3 * np.arange(4000))
+        values[:3], values[3] = 0.0, 1.2
+        reports = [
+            assemble_report(
+                Trajectory(TimeGrid(t_start=origin, dt=1e-3, n_samples=4000), values),
+                origin, DEFAULT)
+            for origin in (0.0, 1e6)
+        ]
+        assert [r.t_peak - o for r, o in zip(reports, (0.0, 1e6))] == pytest.approx(
+            [0.003, 0.003], abs=1e-9)
+        assert reports[1].lambda_hat == pytest.approx(reports[0].lambda_hat, rel=1e-12)
+        assert reports[1].fit_quality == pytest.approx(reports[0].fit_quality, rel=1e-12)
+        assert reports[1].recovery_time - 1e6 == pytest.approx(
+            reports[0].recovery_time, abs=1e-9)
+
 
 class TestMetricsConfig:
     def test_validation(self):

@@ -50,6 +50,28 @@ class TestTimeGrid:
         with pytest.raises(ParameterError):
             grid.index_at_or_after(-1.0)
 
+    def test_index_at_or_before(self):
+        grid = TimeGrid(t_start=0.0, dt=0.5, n_samples=5)
+        assert grid.index_at_or_before(-0.2) == 0
+        assert grid.index_at_or_before(0.0) == 0
+        assert grid.index_at_or_before(0.9) == 1
+        assert grid.index_at_or_before(1.0 - 1e-12) == 2
+        assert grid.index_at_or_before(2.0) == 4
+        with pytest.raises(ParameterError):
+            grid.index_at_or_before(5.0)
+        with pytest.raises(ParameterError, match="not finite"):
+            grid.index_at_or_before(math.nan)
+
+    @pytest.mark.parametrize("t_start, dt", [(0.0, 1e-3), (1e6, 1e-3), (1.7e9, 0.1)])
+    def test_grid_time_maps_to_its_own_sample(self, t_start, dt):
+        # far from 0, (time_at(k) - t_start) / dt rounds to either side of k
+        grid = TimeGrid(t_start=t_start, dt=dt, n_samples=100_000)
+        after = [k for k in range(grid.n_samples)
+                 if grid.index_at_or_after(grid.time_at(k)) != k]
+        before = [k for k in range(grid.n_samples)
+                  if grid.index_at_or_before(grid.time_at(k)) != k]
+        assert (after, before) == ([], [])
+
 
 class TestTrajectory:
     def test_rejects_nan_with_time(self):
