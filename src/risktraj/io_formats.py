@@ -70,7 +70,8 @@ class TrajectoryTable:
         if not math.isfinite(mean_dt):  # else the spread could be inf - inf = nan
             raise ParameterError("the steps of t overflow")
         spread = float(np.max(diffs) - np.min(diffs))
-        if spread > 1e-9 * mean_dt:
+        # each time t_start + k*dt is off by up to an ulp of the largest |t|
+        if spread > 1e-9 * mean_dt + 4 * np.spacing(max(abs(t[0]), abs(t[-1]))):
             raise ParameterError(
                 f"t is not uniformly spaced (relative spread {spread / mean_dt:.3g})"
             )
