@@ -455,6 +455,20 @@ class TestCompare:
         svg = (out / "comparison.svg").read_text()
         assert svg.count("<polyline") == 6
 
+    def test_a_late_grid_is_written_and_read_back(self, tmp_path):
+        # times near 6e4 are rounded to their own ulp, so the written steps
+        # spread by more than 1e-9 * dt
+        out = tmp_path / "late"
+        code = main(["compare", "--out", str(out),
+                     "--set", "integrator.t_start_s=59994",
+                     "--set", "integrator.t_end_s=60138",
+                     "--set", "disturbance.onset_s=60021"])
+        assert code == 0
+        report = tmp_path / "passive_report.txt"
+        assert main(["analyze", str(out / "passive_trajectory.csv"), "--t0", "60021",
+                     "--out", str(report)]) == 0
+        assert read_report(report).r0 == read_report(out / "passive_report.txt").r0
+
     def test_coarse_step_advisory_is_one_warning_line(self, tmp_path, capsys):
         code = main(["compare", "--out", str(tmp_path), "--set", "integrator.dt_s=2"])
         assert code == 0

@@ -169,6 +169,16 @@ class TestTrajectoryParsingErrors:
         with pytest.raises(TableParseError, match="uniform"):
             table_from_text(text)
 
+    def test_late_uniform_time_is_read(self):
+        # each time 1.7e9 + 0.1*k is rounded to its own ulp, 2.4e-7 here
+        t = 1.7e9 + 0.1 * np.arange(1000)
+        r = np.exp(-0.05 * 0.1 * np.arange(1000))
+        text = table_to_text(TrajectoryTable(t=t, signals={"r": r}))
+        traj = table_from_text(text).trajectory("r")
+        report = assemble_report(traj, traj.grid.t_start, MetricsConfig())
+        # times off by 2.4e-7 over a 60 s fit move the rate by about 1e-9
+        assert report.lambda_hat == pytest.approx(0.05, rel=1e-8)
+
     def test_bad_header(self):
         with pytest.raises(TableParseError):
             table_from_text("time,r\n0,1\n1,1\n")
