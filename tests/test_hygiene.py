@@ -1,8 +1,11 @@
-"""Dead code checks on the package source, with the standard library's ast.
+"""Dead code and ownership checks on the package source, with the
+standard library's ast.
 
 Every import in a module of src/risktraj is used in that module, and
 every module-level single-underscore name is referenced somewhere in the
 package, so a deletion cannot leave an unused import or helper behind.
+Only trajectory.py rounds a time to a sample index: TimeGrid owns that
+arithmetic and the exactness it needs far from t = 0.
 """
 
 import ast
@@ -49,3 +52,19 @@ def test_every_private_module_name_is_referenced():
         alias.name for tree in MODULES.values() for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert {(module, name) for module, name in defined if name not in referenced} == set()
+
+
+def _is_math_rounding(node: ast.AST) -> bool:
+    """A call math.floor(...) or math.ceil(...)."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("floor", "ceil")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "math")
+
+
+def test_only_the_time_grid_rounds_times_to_samples():
+    found = [f"{module}:{node.lineno}"
+             for module, tree in MODULES.items() if module != "trajectory.py"
+             for node in ast.walk(tree) if _is_math_rounding(node)
+             if any(isinstance(sub, ast.Attribute) and sub.attr == "dt"
+                    for arg in node.args for sub in ast.walk(arg))]
+    assert found == []
