@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import os
 import subprocess
@@ -22,6 +21,7 @@ from risktraj.io_formats import (
     write_trajectory,
 )
 from risktraj.metrics import MetricsConfig
+from risktraj.record import fields
 
 FAST = ["--set", "integrator.dt_s=0.01", "--set", "integrator.t_end_s=72"]
 COARSE_SWEEP = ["--set", "integrator.dt_s=0.02", "--set", "integrator.t_end_s=60"]
@@ -418,7 +418,7 @@ class TestAnalyzeFlags:
 
     def test_defaults_are_the_record_defaults(self):
         args = vars(_build_parser().parse_args(["analyze", "x.csv"]))
-        names = [f.name for f in dataclasses.fields(MetricsConfig)]
+        names = [f.name for f in fields(MetricsConfig)]
         assert set(METRIC_FLAGS) == set(names)
         assert {name: args[name] for name in names} == vars(MetricsConfig())
 

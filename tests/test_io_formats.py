@@ -1,5 +1,4 @@
 import configparser
-import dataclasses
 import io
 import math
 import os
@@ -49,6 +48,7 @@ from risktraj.metrics import (
     ResilienceReport,
     assemble_report,
 )
+from risktraj.record import fields, replace
 from risktraj.scenario import default_config, run_case
 from risktraj.svgplot import emit_plot
 from risktraj.trajectory import TimeGrid, Trajectory
@@ -103,10 +103,10 @@ class TestTrajectoryTable:
         assert text.endswith("\n")
 
     def test_scenario_run_columns(self, tmp_path):
-        config = dataclasses.replace(
+        config = replace(
             default_config(),
-            integrator=dataclasses.replace(default_config().integrator,
-                                           dt=0.01, t_end=48.0),
+            integrator=replace(default_config().integrator,
+                               dt=0.01, t_end=48.0),
         )
         result = run_case("passive", config)
         table = TrajectoryTable(
@@ -670,7 +670,7 @@ def sample_document(**overrides):
 
 
 # the report fields that hold a number (in sample_document, a float)
-REPORT_NUMBERS = [f.name for f in dataclasses.fields(ResilienceReport)
+REPORT_NUMBERS = [f.name for f in fields(ResilienceReport)
                   if type(getattr(sample_document(), f.name)) is float]
 
 
@@ -818,7 +818,7 @@ class TestScenarioConfigFile:
     def test_digest_stable_and_sensitive(self):
         base = config_digest(default_config())
         assert base == config_digest(default_config())
-        other = dataclasses.replace(
+        other = replace(
             default_config(),
             disturbance=DisturbanceSignal(kind="pulse", onset=27.0,
                                           duration=12.0, magnitude=0.25),
@@ -871,7 +871,7 @@ class TestScenarioConfigFile:
         # the three policy sections together name every LoadPolicy field
         for record in (EnergyParams, SolarProfile, DisturbanceSignal, IntegratorConfig,
                        MetricsConfig, LoadPolicy):
-            assert named[record] == {f.name for f in dataclasses.fields(record)}, record
+            assert named[record] == {f.name for f in fields(record)}, record
 
 
 DEFAULT_PARSER = config_to_parser(default_config())

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +22,7 @@ from risktraj.errors import (
 )
 from risktraj.io_formats import config_to_text
 from risktraj.metrics import BASELINE_MODES, MetricsConfig
+from risktraj.record import replace
 from risktraj.scenario import (
     CASE_IDS,
     _load_series,
@@ -42,7 +42,7 @@ def with_policies(config, **replacements):
     policies = dict(config.policies)
     for case_id, policy in replacements.items():
         policies[case_id] = policy
-    return dataclasses.replace(config, policies=policies)
+    return replace(config, policies=policies)
 
 
 def solar_input(t, profile, disturbance):
@@ -55,7 +55,7 @@ def load_power(k, E, prev_shedding, policy, solar):
     """Delivered load and updated shedding flag of one policy at grid index k;
     any case runs any policy."""
     config = with_policies(
-        dataclasses.replace(default_config(), solar=solar), passive=policy)
+        replace(default_config(), solar=solar), passive=policy)
     shed = build_case("passive", config).mode_update(k, E, prev_shedding)
     load = _load_series(policy, np.array([E]), np.array([shed]))
     return float(load[0]), shed
@@ -165,7 +165,7 @@ class TestLoadPower:
 
 
 # The defaults over 48 s: the law does not depend on the run's length.
-SHORT_DEFAULTS = dataclasses.replace(
+SHORT_DEFAULTS = replace(
     default_config(), integrator=IntegratorConfig(dt=0.01, t_start=0.0, t_end=48.0))
 E_MAX = SHORT_DEFAULTS.energy.E_max
 
@@ -237,7 +237,7 @@ class TestScenarioConfigValidation:
         unlisted = {"passive": {"shed_fraction": 0.5}, "reactive": {"gain": 0.5},
                     "anticipatory": {"E_off": 60.0}}
         for case_id, field in unlisted.items():
-            policy = dataclasses.replace(SHORT_DEFAULTS.policies[case_id], **field)
+            policy = replace(SHORT_DEFAULTS.policies[case_id], **field)
             config = with_policies(SHORT_DEFAULTS, **{case_id: policy})
             assert run_case(case_id, config).report.r0 > 0.0
             with pytest.raises(ConfigurationError,
@@ -247,34 +247,34 @@ class TestScenarioConfigValidation:
     def test_magnitude_range(self):
         config = default_config()
         with pytest.raises(ConfigurationError):
-            dataclasses.replace(config, disturbance=DisturbanceSignal(
+            replace(config, disturbance=DisturbanceSignal(
                 kind="pulse", onset=27.0, duration=12.0, magnitude=1.5))
 
     def test_window_inside_run(self):
         config = default_config()
         with pytest.raises(ConfigurationError):
-            dataclasses.replace(config, disturbance=DisturbanceSignal(
+            replace(config, disturbance=DisturbanceSignal(
                 kind="pulse", onset=140.0, duration=12.0, magnitude=0.5))
 
     def test_metrics_horizon_before_t0(self):
         config = default_config()
         assert config.t0 == 27.0  # the pulse onset
         with pytest.raises(ConfigurationError, match=r"^horizon 20.0 precedes t0 27.0$"):
-            dataclasses.replace(config, metrics=dataclasses.replace(
+            replace(config, metrics=replace(
                 config.metrics, horizon=20.0))
-        calm = dataclasses.replace(config, disturbance=NO_DIST)
+        calm = replace(config, disturbance=NO_DIST)
         assert calm.t0 == 0.0  # the run's start
-        assert dataclasses.replace(calm, metrics=dataclasses.replace(
+        assert replace(calm, metrics=replace(
             config.metrics, horizon=20.0)).metrics.horizon == 20.0
 
     def test_tail_window_of_one_sample(self):
         # 0.001% of the 28,801 samples rounds up to 1, too few for a mean level
         config = default_config()
-        few = dataclasses.replace(config.metrics, tail_fraction=1e-5)
+        few = replace(config.metrics, tail_fraction=1e-5)
         with pytest.raises(ParameterError, match="tail window has 1 sample"):
-            dataclasses.replace(config, metrics=few)  # the shipped steady_state
+            replace(config, metrics=few)  # the shipped steady_state
         # a zero baseline takes no tail mean
-        dataclasses.replace(config, metrics=dataclasses.replace(few, baseline_mode="zero"))
+        replace(config, metrics=replace(few, baseline_mode="zero"))
 
     @pytest.mark.parametrize("part, field, value", [
         ("solar", "P_peak", math.nan),
@@ -296,11 +296,11 @@ class TestScenarioConfigValidation:
         config = default_config()
         record = config.policies.get(part) or getattr(config, part)
         with pytest.raises(ParameterError, match=rf"{field} .*got {value}$"):
-            dataclasses.replace(record, **{field: value})
+            replace(record, **{field: value})
 
     def test_missing_policy_rejected_by_build(self):
         config = default_config()
-        trimmed = dataclasses.replace(
+        trimmed = replace(
             config, policies={"passive": config.policies["passive"]})
         with pytest.raises(ConfigurationError):
             run_case("reactive", trimmed)
@@ -312,8 +312,8 @@ class TestScenarioConfigValidation:
     def test_policy_under_an_unknown_case_id(self):
         config = default_config()
         with pytest.raises(ConfigurationError, match=r"^unknown case id 'bogus'$"):
-            dataclasses.replace(config, policies={**config.policies,
-                                                  "bogus": config.policies["passive"]})
+            replace(config, policies={**config.policies,
+                                      "bogus": config.policies["passive"]})
 
 
 def balanced_flat_config():
@@ -399,7 +399,7 @@ class TestRunCase:
 
     def test_case1_invariance_bit_identical(self):
         config = default_config()
-        short = dataclasses.replace(
+        short = replace(
             config,
             integrator=IntegratorConfig(dt=0.01, t_start=0.0, t_end=48.0),
         )
@@ -429,7 +429,7 @@ class TestMechanismCoverage:
     ])
     def test_dropped_mechanism(self, default_comparison, case_id, dropped, moves_E):
         config = default_config()
-        policy = dataclasses.replace(config.policies[case_id], **dropped)
+        policy = replace(config.policies[case_id], **dropped)
         result = run_case(case_id, with_policies(config, **{case_id: policy}))
         base = default_comparison.cases[case_id]
         same_E = np.array_equal(result.energy.values, base.energy.values)
@@ -452,7 +452,7 @@ class TestCompareCases:
             anticipatory=LoadPolicy(P0=p0, horizon=6.0, E_target=48.0,
                                     shed_fraction=0.0, gain=0.0),
         )
-        degenerate = dataclasses.replace(
+        degenerate = replace(
             degenerate,
             integrator=IntegratorConfig(dt=0.01, t_start=0.0, t_end=72.0),
         )
@@ -463,7 +463,7 @@ class TestCompareCases:
         assert not comp.impact_ordering_holds  # strict ordering degenerates
 
     def test_no_event_zero_peaks(self):
-        config = dataclasses.replace(
+        config = replace(
             default_config(),
             disturbance=DisturbanceSignal(kind="pulse", onset=27.0,
                                           duration=12.0, magnitude=1.0),
@@ -474,7 +474,7 @@ class TestCompareCases:
             assert comp.cases[case_id].report.r0 == 0.0
 
     def test_periodic_calm_tail(self):
-        config = dataclasses.replace(
+        config = replace(
             default_config(),
             disturbance=NO_DIST,
             integrator=IntegratorConfig(dt=0.01, t_start=0.0, t_end=72.0),
@@ -555,10 +555,10 @@ class TestEveryAcceptedConfigRuns:
     @settings(max_examples=150, deadline=None)
     @given(bounded_configs())
     # a recovery band that rounds to 0
-    @example(dataclasses.replace(SHORT_DEFAULTS, metrics=dataclasses.replace(
+    @example(replace(SHORT_DEFAULTS, metrics=replace(
         SHORT_DEFAULTS.metrics, recovery_band_ratio=5e-324)))
     # a risk ramp so narrow that the risk map's division overflows
-    @example(dataclasses.replace(SHORT_DEFAULTS, energy=EnergyParams(
+    @example(replace(SHORT_DEFAULTS, energy=EnergyParams(
         E_max=100.0, E_min=0.0, E_init=50.0, E_ref=1e-320)))
     def test_compare_runs_or_diverges(self, config):
         # a run may diverge, and the forecast may be refused; nothing else fails
