@@ -13,7 +13,6 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -37,6 +36,7 @@ from .io_formats import (
     write_trajectory,
 )
 from .metrics import BASELINE_MODES, MetricsConfig, assemble_report
+from .record import fields
 
 if TYPE_CHECKING:
     import configparser

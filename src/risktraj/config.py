@@ -4,7 +4,6 @@ config loads neither the integrator nor the scenario model."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -12,6 +11,7 @@ import numpy as np
 from .errors import ConfigurationError, ParameterError
 from .io_formats import CASE_IDS
 from .metrics import MetricsConfig
+from .record import Record
 from .trajectory import tail_length
 
 # Most steps one run may take; a sweep may also visit at most this many
@@ -19,8 +19,7 @@ from .trajectory import tail_length
 MAX_STEPS = 10_000_000
 
 
-@dataclass(frozen=True)
-class DisturbanceSignal:
+class DisturbanceSignal(Record):
     """Exogenous disturbance d(t): a rectangular pulse or nothing.
 
     The pulse is active on the half-open window [onset, onset + duration).
@@ -57,8 +56,7 @@ class DisturbanceSignal:
         return np.where((times >= start) & (times < end), self.magnitude, 1.0)
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(Record):
     """Fixed-step classical RK4 integration window: a whole number of steps,
     at most MAX_STEPS."""
 
@@ -86,8 +84,7 @@ class IntegratorConfig:
         return round((self.t_end - self.t_start) / self.dt)
 
 
-@dataclass(frozen=True)
-class EnergyParams:
+class EnergyParams(Record):
     E_max: float   # storage capacity (J)
     E_min: float   # critical floor where risk saturates at 1 (J)
     E_init: float  # initial stored energy (J)
@@ -105,8 +102,7 @@ class EnergyParams:
             )
 
 
-@dataclass(frozen=True)
-class SolarProfile:
+class SolarProfile(Record):
     """Periodic clamped-sine input: P_peak * max(0, sin(2*pi*t/period))**shape.
 
     shape_exponent >= 1 sharpens the daily bump; the special value 0
@@ -132,8 +128,7 @@ class SolarProfile:
             )
 
 
-@dataclass(frozen=True)
-class RiskMap:
+class RiskMap(Record):
     """Piecewise-linear normalized risk: 1 at E_min, 0 at E_ref."""
 
     E_ref: float
@@ -146,8 +141,7 @@ class RiskMap:
             )
 
 
-@dataclass(frozen=True)
-class LoadPolicy:
+class LoadPolicy(Record):
     """One load law; the three structural cases are points of it.
 
     The load is P0, or floor = P0*(1 - shed_fraction) while shedding, less
@@ -197,8 +191,7 @@ class LoadPolicy:
         return self.P0 * (1.0 - self.shed_fraction)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """Full parameterization of one scenario family.
 
     Carries one policy per case so that single-case runs and three-way

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .config import DisturbanceSignal, IntegratorConfig
 from .errors import IntegrationDivergedError, ParameterError
+from .record import Record
 from .trajectory import TimeGrid, Trajectory
 
 # Steps whose substep inputs are sampled at once: bounds the sampled
@@ -45,8 +45,7 @@ _BLOCK_STEPS = 4096
 _MIN_SPAN = 64
 
 
-@dataclass(frozen=True)
-class DynamicalSystem:
+class DynamicalSystem(Record):
     """Right-hand side bundle handed to integrate(); the state is one float.
 
     rhs(x, u) must be a pure function returning dx/dt as a float; u is
@@ -82,8 +81,7 @@ class DynamicalSystem:
     free_flight: Mapping[Any, tuple[float, float, float]] | None = None
 
 
-@dataclass(frozen=True)
-class IntegrationResult:
+class IntegrationResult(Record):
     """Recorded state (a 1-tuple), optional observable, optional mode track."""
 
     grid: TimeGrid

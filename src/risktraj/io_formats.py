@@ -19,7 +19,6 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError, TableParseError
 from .metrics import ABSENT_METRICS, ResilienceReport
+from .record import Record, fields
 from .trajectory import TimeGrid, Trajectory
 
 if TYPE_CHECKING:
@@ -49,8 +49,7 @@ def format_number(x: float) -> str:
 # trajectory tables
 
 
-@dataclass(frozen=True)
-class TrajectoryTable:
+class TrajectoryTable(Record):
     """Columnar table: strictly increasing uniform t plus named signals."""
 
     t: np.ndarray
@@ -315,8 +314,7 @@ _REPORT_KEYS = (
 )
 
 
-@dataclass(frozen=True, kw_only=True)
-class ReportDocument(ResilienceReport):
+class ReportDocument(ResilienceReport, kw_only=True):
     """A ResilienceReport plus its provenance."""
 
     case_id: str
@@ -403,7 +401,7 @@ CASE_IDS = ("passive", "reactive", "anticipatory")
 DEFAULT_CONFIG_PATH = Path(__file__).parent / "data" / "default_scenario.ini"
 _POLICY = "policy."
 
-# section -> (name of the dataclass it builds, its keys in file order). The
+# section -> (name of the record it builds, its keys in file order). The
 # classes are taken from `config` when a config is built, so reading a
 # trajectory loads none of them, and building a config loads them without the
 # simulator.

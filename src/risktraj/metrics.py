@@ -11,7 +11,7 @@ quadrature so the two routes can be compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -21,6 +21,7 @@ from .errors import (
     NoDampingError,
     ParameterError,
 )
+from .record import Record, fields
 from .trajectory import Trajectory, estimate_steady_state
 
 BASELINE_MODES = ("zero", "steady_state")
@@ -28,8 +29,7 @@ BASELINE_MODES = ("zero", "steady_state")
 ABSENT_METRICS = ("lambda_hat", "fit_quality", "impact_closed_form")
 
 
-@dataclass(frozen=True)
-class MetricsConfig:
+class MetricsConfig(Record):
     """Knobs the metric definitions leave open.
 
     baseline_mode "zero" measures deviation from zero; "steady_state"
@@ -72,8 +72,7 @@ class MetricsConfig:
             raise ParameterError(f"horizon must be finite, got {self.horizon}")
 
 
-@dataclass(frozen=True)
-class ResilienceReport:
+class ResilienceReport(Record):
     """Concrete realization of the resilience functional for one trajectory.
 
     Metrics that could not be computed are None, with the reason recorded
@@ -96,7 +95,7 @@ class ResilienceReport:
     recovery_time: float | None
     recovered: bool
     tail_corrected: bool
-    absent: Mapping[str, str] = field(default_factory=dict)
+    absent: Mapping[str, str] = MappingProxyType({})
 
     def __post_init__(self):
         for f in fields(self):

@@ -12,7 +12,6 @@ shedding plus proportional feedback).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -22,6 +21,7 @@ from .dynamics import DynamicalSystem, integrate
 from .errors import ConfigurationError
 from .io_formats import CASE_IDS, DEFAULT_CONFIG_PATH, read_scenario_config
 from .metrics import ResilienceReport, assemble_report
+from .record import Record
 from .trajectory import TimeGrid, Trajectory
 
 
@@ -170,8 +170,7 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
     )
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(Record):
     """Recorded signals and the resilience report for one case run."""
 
     case_id: str
@@ -183,8 +182,7 @@ class CaseResult:
     report: ResilienceReport
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(Record):
     """Three case results plus the qualitative ordering checks."""
 
     cases: Mapping[str, CaseResult]

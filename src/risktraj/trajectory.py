@@ -8,15 +8,14 @@ they can be shared freely between concurrent scenario runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(Record):
     """Uniform sampling grid: sample k lies at t_start + k*dt.
 
     Times are always produced in multiply form, never by accumulated
@@ -79,8 +78,7 @@ class TimeGrid:
             )
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """A recorded scalar signal on a TimeGrid. Values are finite and read-only."""
 
     grid: TimeGrid
