@@ -3,7 +3,8 @@
 `analyze` reads and measures a trajectory; it must not load the simulator
 (`scenario`, `dynamics`), the config types (`config`), the plotter
 (`svgplot`) or `configparser`. `emit-plot --config` builds a config
-without the simulator. The exports of `risktraj` resolve on first use.
+without the simulator. No command loads `dataclasses`: the records are
+built without generated code. The exports of `risktraj` resolve on first use.
 The CLI's entry point, which the console script names, runs BLAS on one
 thread so its output does not follow the host's CPU count; it pauses the
 garbage collector over its imports and freezes what is left at exit, and
@@ -32,7 +33,7 @@ import risktraj.cli
 
 def loaded():
     return sorted(m for m in sys.modules
-                  if m.startswith("risktraj") or m == "configparser")
+                  if m.startswith("risktraj") or m in ("configparser", "dataclasses"))
 
 before = loaded()
 code = risktraj.cli.main(sys.argv[1:])
@@ -42,7 +43,8 @@ print(json.dumps({"code": code, "before": before, "after": loaded()}), file=sys.
 
 def _modules_loaded_by(args):
     """What `risktraj.cli.main(args)` prints, and the risktraj modules (and
-    configparser) loaded before and after it, in a fresh interpreter."""
+    configparser and dataclasses) loaded before and after it, in a fresh
+    interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", LOADED_BY_A_COMMAND, *args],
                           capture_output=True, text=True, env=env, timeout=60)
@@ -79,6 +81,19 @@ def test_emit_plot_builds_its_config_without_the_simulator(tmp_path):
     assert "risktraj.config" in after
     assert "risktraj.scenario" not in after
     assert "risktraj.dynamics" not in after
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "{csv}"],
+    ["emit-plot", "{csv}", "--config", "default", "--out", "{dir}/r.svg"],
+    ["simulate", "--case", "reactive", "--config", "default",
+     "--set", "integrator.dt_s=0.5", "--out", "{dir}"],
+])
+def test_no_command_loads_dataclasses(tmp_path, command):
+    csv = _write_short_csv(tmp_path / "r.csv")
+    args = [arg.format(csv=csv, dir=tmp_path) for arg in command]
+    _, (before, after) = _modules_loaded_by(args)
+    assert "dataclasses" not in before + after
 
 
 def test_every_export_resolves():

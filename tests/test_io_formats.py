@@ -43,6 +43,7 @@ from risktraj.io_formats import (
     write_trajectory,
 )
 from risktraj.metrics import (
+    ABSENT_METRICS,
     BASELINE_MODES,
     MetricsConfig,
     ResilienceReport,
@@ -129,6 +130,16 @@ class TestTrajectoryTable:
         table = TrajectoryTable(t=t, signals={"r": values})
         back = table_from_text(table_to_text(table))
         assert np.array_equal(back.signals["r"], values)
+
+    def test_signals_are_a_read_only_copy(self):
+        # a column set after construction once got past every check
+        signals = {"r": np.array([1.0, 0.5])}
+        table = TrajectoryTable(t=np.array([0.0, 1.0]), signals=signals)
+        signals["E"] = np.array([np.nan, np.nan])
+        with pytest.raises(TypeError):
+            table.signals["r"] = np.array([np.nan])
+        assert table.column_names == ("t", "r")
+        assert table_to_text(table) == "t,r\n0,1\n1,0.5\n"
 
     def test_trajectory_accessor(self):
         table = small_table()
@@ -704,6 +715,21 @@ class TestReportDocument:
         assert old in text
         with pytest.raises(TableParseError):
             report_from_text(text.replace(old, new))
+
+    def test_absent_is_a_read_only_copy(self):
+        # a document shared its report's absent dict, so a reason added to
+        # the report later made the document write a file its reader refuses
+        reasons = dict.fromkeys(ABSENT_METRICS, "no fit")
+        report = ResilienceReport(
+            t0=0.0, r0=0.0, t_peak=0.0, lambda_hat=None, fit_quality=None,
+            impact_numeric=0.0, impact_closed_form=None, steady_state=0.0,
+            recovery_time=0.0, recovered=True, tail_corrected=False, absent=reasons)
+        doc = ReportDocument.from_report(report, "external", "sha256:0011223344556677")
+        reasons["r0"] = "x"
+        with pytest.raises(TypeError):
+            report.absent["r0"] = "x"
+        assert report.absent == dict.fromkeys(ABSENT_METRICS, "no fit")
+        assert report_from_text(report_to_text(doc)) == doc
 
     def test_reader_rejects_unexplained_absence(self):
         text = report_to_text(sample_document())

@@ -309,6 +309,16 @@ class TestScenarioConfigValidation:
         with pytest.raises(ConfigurationError):
             run_case("bogus", default_config())
 
+    def test_policies_are_a_read_only_copy(self):
+        # a policy added after construction skipped the case id check
+        config = default_config()
+        policies = dict(config.policies)
+        copy = replace(config, policies=policies)
+        policies["bogus"] = config.policies["passive"]
+        with pytest.raises(TypeError):
+            copy.policies["bogus"] = config.policies["passive"]
+        assert tuple(copy.policies) == CASE_IDS
+
     def test_policy_under_an_unknown_case_id(self):
         config = default_config()
         with pytest.raises(ConfigurationError, match=r"^unknown case id 'bogus'$"):
