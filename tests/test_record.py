@@ -78,6 +78,11 @@ def test_eq_and_hash_follow_the_type_and_the_fields():
     assert Point(1.0) != Point(2.0)
     assert Labelled(1.0, label="a") != Labelled(1.0, label="b")
 
+    class Renamed(Point):
+        pass
+
+    assert Renamed(1.0) != Point(1.0) and Point(1.0) != Renamed(1.0)
+
     report = ResilienceReport(
         t0=0.0, r0=0.0, t_peak=0.0, lambda_hat=None, fit_quality=None,
         impact_numeric=0.0, impact_closed_form=None, steady_state=0.0,
