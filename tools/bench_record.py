@@ -119,7 +119,7 @@ def main(argv=None) -> int:
     record = {
         "commits": {"parent": _git("rev-parse", args.parent),
                     "change": _git("rev-parse", "HEAD"),
-                    "change_has_uncommitted_edits": bool(_git("status", "--porcelain"))},
+                    "change_uncommitted": _git("status", "--porcelain").splitlines()},
         "python": platform.python_version(), "numpy": np.__version__,
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
                      "order": "parent first on even pairs, change first on odd"},
