@@ -59,6 +59,15 @@ class Record:
         items = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
         return f"{type(self).__qualname__}({items})"
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the record; a read-only copy goes as a dict
+        return _build, (type(self), {name: dict(value) if type(value) is MappingProxyType
+                                     else value for name, value in vars(self).items()})
+
+
+def _build(cls, values: dict) -> Record:
+    return cls(**values)
+
 
 def fields(record) -> tuple:
     """The fields of a record or record class in declaration order, each

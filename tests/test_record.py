@@ -6,7 +6,9 @@ fields. `fields` and `replace` stand in for the `dataclasses` functions;
 `dataclasses.replace` still rebuilds a record.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -117,6 +119,15 @@ def test_replace_runs_every_check_again():
         replace(policy, P0=-1.0)
     with pytest.raises(TypeError):
         replace(policy, bogus=1.0)
+
+
+def test_pickle_and_deepcopy_rebuild_a_record():
+    config = default_config()
+    assert pickle.loads(pickle.dumps(config)) == config
+    copied = copy.deepcopy(config)
+    assert copied == config and copied.policies is not config.policies
+    with pytest.raises(TypeError):
+        copied.policies["bogus"] = config.policies["passive"]
 
 
 def test_dataclasses_replace_rebuilds_a_record():
