@@ -5,10 +5,11 @@ few microseconds of interpreter time. Everything that depends on time
 only (the disturbance and the system's forcing) is sampled with numpy
 once per block of steps, so the step loop reads plain floats from lists.
 Time reaches a system only through its input: it is described by its
-right-hand side f(x, u) plus an optional observable of the states;
-systems that carry a discrete companion mode (e.g. a load-shedding flag)
-declare a mode_update hook, which is applied once per full step so the
-RK4 substeps always see a frozen mode.
+right-hand side f(x, u, mode), where the mode is a discrete companion
+state (e.g. a load-shedding flag) that its mode_update hook applies once
+per full step, so the RK4 substeps always see a frozen mode. Every hook
+but the right-hand side has a neutral default, so every system takes
+the one stepping path.
 
 A system may also declare free flight: per mode a constant load L and
 an open interval on which f(x, u) == u - L bit for bit. A stretch of
@@ -48,46 +49,51 @@ _MIN_SPAN = 64
 class DynamicalSystem(Record):
     """Right-hand side bundle handed to integrate(); the state is one float.
 
-    rhs(x, u) must be a pure function returning dx/dt as a float; u is
-    the forcing value at the substep's time. forcing(times, d), when set,
-    maps an array of substep times and the disturbance sampled there (1
-    outside a pulse) to the array of u values; it must be vectorised and
-    depend on time only. Unset, u is the disturbance value d itself.
-    integrate() calls it once per block of steps, never inside the step
-    loop. When mode_update is set, rhs receives the current mode as a
-    third argument and mode_update(k, x, mode) is called with the grid
+    rhs(x, u, mode) must be a pure function returning dx/dt as a float;
+    u is the forcing value at the substep's time and mode the step's
+    mode. forcing(times, d) maps an array of substep times and the
+    disturbance sampled there (1 outside a pulse) to the array of u
+    values; it must be vectorised and depend on time only, and by default
+    u is d itself. integrate() calls it once per block of steps, never
+    inside the step loop. mode_update(k, x, mode) is called with the grid
     index k and the state there, once at the start of every step (never
-    inside substeps) and once with k = n_steps at the end time. project,
-    when set, maps the state to the admissible set after every step
-    (state constraints such as storage saturation) and must let NaN
-    through so divergence is still reported. output_map(states), when
-    set, is called once on the recorded state array and returns the
-    observable array.
-    free_flight, when set, maps each mode to (load, lo, hi): for every
-    lo < x < hi, rhs(x, u, mode) must equal u - load bit for bit and
-    project(x) must be x itself. integrate() then steps such stretches in
-    numpy passes, calling mode_update(steps, x, mode) with the slice of
-    grid indices and the array of states there, so the law must accept
-    arrays too (a scalar result means the mode cannot change). States and
-    modes equal the scalar loop's, bit for bit.
+    inside substeps) and once with k = n_steps at the end time; by
+    default it keeps mode_init. project maps the state to the admissible
+    set after every step (state constraints such as storage saturation)
+    and must let NaN through so divergence is still reported.
+    output_map(states) is called once on the recorded state array and
+    returns the observable array. Both are the identity by default.
+    free_flight maps each mode to (load, lo, hi): for every lo < x < hi,
+    rhs(x, u, mode) must equal u - load bit for bit and project(x) must
+    be x itself. integrate() then steps such stretches in numpy passes,
+    calling mode_update(steps, x, mode) with the slice of grid indices
+    and the array of states there, so the law must accept arrays too (a
+    scalar result means the mode cannot change). States and modes equal
+    the scalar loop's, bit for bit. By default the table is empty.
+    A hook passed as None is refused; leave it out for its default.
     """
 
-    rhs: Callable[..., float]
-    output_map: Callable[[np.ndarray], np.ndarray] | None = None
-    mode_update: Callable[[Any, Any, Any], Any] | None = None
+    rhs: Callable[[float, float, Any], float]
+    output_map: Callable[[np.ndarray], np.ndarray] = lambda states: states
+    mode_update: Callable[[Any, Any, Any], Any] = lambda _k, _x, mode: mode
     mode_init: Any = None
-    project: Callable[[float], float] | None = None
-    forcing: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    free_flight: Mapping[Any, tuple[float, float, float]] | None = None
+    project: Callable[[float], float] = lambda x: x
+    forcing: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda _times, d: d
+    free_flight: Mapping[Any, tuple[float, float, float]] = {}
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is None and name != "mode_init":
+                raise ParameterError(f"{name} must not be None; leave it out for its default")
 
 
 class IntegrationResult(Record):
-    """Recorded state (a 1-tuple), optional observable, optional mode track."""
+    """Recorded state (a 1-tuple), the observable and the mode track."""
 
     grid: TimeGrid
     states: tuple[Trajectory, ...]
-    observable: Trajectory | None
-    modes: tuple | None
+    observable: Trajectory
+    modes: tuple
 
 
 def _flight(x, mode, flight, mode_update, steps, u0, um, u1, dt):
@@ -114,9 +120,7 @@ def _flight(x, mode, flight, mode_update, steps, u0, um, u1, dt):
         low = np.minimum(np.minimum(x, sub[0]), np.minimum(sub[1], sub[2]))
         high = np.maximum(np.maximum(x, sub[0]), np.maximum(sub[1], sub[2]))
         # NaN fails both comparisons, so a diverging step is never free
-        ok = (lo < low) & (high < hi)
-        if mode_update is not None:
-            ok &= mode_update(steps, x, mode) == mode
+        ok = (lo < low) & (high < hi) & (mode_update(steps, x, mode) == mode)
     p = int(np.argmin(ok))
     return (p if not ok[p] else len(ok)), states
 
@@ -130,11 +134,11 @@ def integrate(
     """Classical RK4 with the input sampled at the substep times.
 
     x0 is a float or a length-1 array. The disturbance d (1 outside a
-    pulse), mapped through system.forcing when that is set, is evaluated
+    pulse), mapped through system.forcing, is evaluated
     at (t, t+dt/2, t+dt/2, t+dt) and held fixed within each substep; pulse
     edges are not located sub-step, so keep dt small relative to the
     pulse duration. The input is sampled once per block of steps, at each
-    substep time exactly once. When the system declares free flight, each
+    substep time exactly once. Where the system declares free flight, each
     step that starts strictly inside a declared interval opens a numpy
     pass over the following steps of its block; the pass keeps the steps
     up to the first one that leaves its mode's interval (with any substep
@@ -162,26 +166,16 @@ def integrate(
     forcing = system.forcing
 
     def inputs(times: np.ndarray) -> np.ndarray:
-        d = disturbance.sample(times)
-        return d if forcing is None else forcing(times, d)
+        return forcing(times, disturbance.sample(times))
 
-    mode_update = system.mode_update
-    mode = system.mode_init
-    if mode_update is None:
-        plain = system.rhs
-
-        def rhs(x: float, u: float, _mode: Any) -> float:
-            return plain(x, u)
-    else:
-        rhs = system.rhs
+    rhs, mode_update, mode = system.rhs, system.mode_update, system.mode_init
     project = system.project
     isfinite = math.isfinite
     states = np.empty(n_steps + 1)
 
     def store(k: int, x: float) -> float:
         """Project x, check it and record it as the state at grid index k."""
-        if project is not None:
-            x = project(x)
+        x = project(x)
         if not isfinite(x):
             t = grid.time_at(k)
             raise IntegrationDivergedError(f"non-finite state at t={t}", time=t)
@@ -189,13 +183,12 @@ def integrate(
         return x
 
     x = store(0, x)
-    modes = None if mode_update is None else []
+    modes = []
     flight = system.free_flight
     # A pass opens only inside the hull of the intervals, so a step
     # outside all of them costs one comparison.
-    free_lo, free_hi = (math.inf, -math.inf) if flight is None else (
-        min(lo for _, lo, _ in flight.values()),
-        max(hi for _, _, hi in flight.values()))
+    free_lo = min((lo for _, lo, _ in flight.values()), default=math.inf)
+    free_hi = max((hi for _, _, hi in flight.values()), default=-math.inf)
     span = _BLOCK_STEPS
 
     # t_start + dt*k is grid.time_at(k) bit for bit, on arrays as on floats.
@@ -219,17 +212,15 @@ def integrate(
                 if p:
                     states[k + 1:k + p] = run[1:p]
                     x = store(k + p, run[p].item())
-                    if modes is not None:
-                        modes += [mode] * p
+                    modes += [mode] * p
                 j += p
                 if j == e:
                     span = min(2 * span, _BLOCK_STEPS)
                     continue
                 span = max(2 * p, _MIN_SPAN)
             # one scalar step; the next turn opens a pass if it ends where one may
-            if mode_update is not None:
-                mode = mode_update(lo + j, x, mode)
-                modes.append(mode)
+            mode = mode_update(lo + j, x, mode)
+            modes.append(mode)
             um = a_mid[j]
             k1 = rhs(x, a_edge[j], mode)
             k2 = rhs(x + half * k1, um, mode)
@@ -239,18 +230,12 @@ def integrate(
             j += 1
         u1 = a_edge[-1]
 
-    if mode_update is not None:
-        modes.append(mode_update(n_steps, x, mode))
-
-    observable = None
-    if system.output_map is not None:
-        observable = Trajectory(grid, system.output_map(states))
-
+    modes.append(mode_update(n_steps, x, mode))
     return IntegrationResult(
         grid=grid,
         states=(Trajectory(grid, states),),
-        observable=observable,
-        modes=None if modes is None else tuple(modes),
+        observable=Trajectory(grid, system.output_map(states)),
+        modes=tuple(modes),
     )
 
 
@@ -264,7 +249,7 @@ def linear_decay_system(lam: float) -> DynamicalSystem:
     if not (lam > 0 and math.isfinite(lam)):
         raise ParameterError(f"decay rate must be > 0, got {lam}")
 
-    def rhs(x: float, _d: float) -> float:
+    def rhs(x: float, _d: float, _mode: None) -> float:
         return -lam * x
 
-    return DynamicalSystem(rhs=rhs, output_map=lambda x: x)
+    return DynamicalSystem(rhs=rhs)

@@ -56,7 +56,7 @@ class TestIntegrate:
         assert abs(result.states[0].values[-1] - math.exp(-1.0)) < 1e-10
 
     def test_unit_slope_exact(self):
-        system = DynamicalSystem(rhs=lambda x, d: 1.0)
+        system = DynamicalSystem(rhs=lambda x, d, _m: 1.0)
         result = run(system, [0.0],
                      IntegratorConfig(dt=0.01, t_start=0.0, t_end=2.0))
         assert result.states[0].values[-1] == pytest.approx(2.0, rel=1e-13)
@@ -79,7 +79,7 @@ class TestIntegrate:
             assert 3.7 <= math.log2(ratio) <= 4.3
 
     def test_equilibrium_preserved_exactly(self):
-        system = DynamicalSystem(rhs=lambda x, d: -(x - 2.0))
+        system = DynamicalSystem(rhs=lambda x, d, _m: -(x - 2.0))
         result = run(system, [2.0],
                      IntegratorConfig(dt=0.1, t_start=0.0, t_end=10.0))
         assert np.all(result.states[0].values == 2.0)
@@ -93,7 +93,7 @@ class TestIntegrate:
     def test_time_shift_equivariance(self):
         # dyadic dt and integer shift keep the arithmetic exactly equal
         dt = 1.0 / 128.0
-        system = DynamicalSystem(rhs=lambda x, d: d)
+        system = DynamicalSystem(rhs=lambda x, d, _m: d)
         shift = 5.0
 
         base = run(
@@ -113,7 +113,7 @@ class TestIntegrate:
     def test_disturbance_sampled_at_substeps(self):
         seen = []
 
-        def rhs(x, d):
+        def rhs(x, d, _m):
             seen.append(d)
             return 0.0
 
@@ -126,7 +126,7 @@ class TestIntegrate:
         assert seen == [1.0, 0.2, 0.2, 0.2]
 
     def test_divergence_reports_time(self):
-        system = DynamicalSystem(rhs=lambda x, d: x * x)
+        system = DynamicalSystem(rhs=lambda x, d, _m: x * x)
         with pytest.raises(IntegrationDivergedError) as exc_info:
             run(system, [10.0], IntegratorConfig(dt=0.05, t_start=0.0, t_end=5.0))
         assert 0.0 < exc_info.value.time <= 5.0

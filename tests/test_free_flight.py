@@ -72,7 +72,7 @@ def test_same_states_and_modes_as_scalar_loop(case_id, overrides):
     config = _config(overrides)
     system = build_case(case_id, config)
     fast = _run(system, config)
-    slow = _run(dataclasses.replace(system, free_flight=None), config)
+    slow = _run(dataclasses.replace(system, free_flight={}), config)
     assert fast.states[0].values.tobytes() == slow.states[0].values.tobytes()
     assert fast.modes == slow.modes
 
@@ -98,10 +98,10 @@ def test_array_work_linear_when_held_on_a_bound(name):
     assert computed <= 3 * n
 
 
-def _ramp(forcing, project=None):
+def _ramp(forcing, project=lambda x: x):
     """dx/dt = u - 1 with free flight on (-10, 10) and no mode."""
     return DynamicalSystem(
-        rhs=lambda _x, u: u - 1.0,
+        rhs=lambda _x, u, _mode: u - 1.0,
         forcing=forcing,
         project=project,
         free_flight={None: (1.0, -10.0, 10.0)},
@@ -114,7 +114,7 @@ def test_divergence_raised_at_the_scalar_loop_time(bad):
     system = _ramp(lambda times, d: np.where(times < 3.0, 1.5, bad) * d)
     config = IntegratorConfig(dt=0.01, t_start=0.0, t_end=60.0)
     times = []
-    for candidate in (system, dataclasses.replace(system, free_flight=None)):
+    for candidate in (system, dataclasses.replace(system, free_flight={})):
         with pytest.raises(IntegrationDivergedError) as err:
             integrate(candidate, 0.0, DisturbanceSignal(), config)
         times.append(err.value.time)
@@ -127,7 +127,7 @@ def test_leaves_the_interval_into_the_scalar_loop():
     system = _ramp(lambda times, d: 1.5 * d)
     config = IntegratorConfig(dt=0.01, t_start=0.0, t_end=60.0)
     fast = integrate(system, 0.0, DisturbanceSignal(), config)
-    slow = integrate(dataclasses.replace(system, free_flight=None), 0.0,
+    slow = integrate(dataclasses.replace(system, free_flight={}), 0.0,
                      DisturbanceSignal(), config)
     assert fast.states[0].values.tobytes() == slow.states[0].values.tobytes()
     assert fast.states[0].values[-1] == pytest.approx(30.0)
@@ -141,7 +141,7 @@ def test_step_that_leaves_is_projected():
                    project=lambda x: min(max(x, -10.0), 10.0))
     config = IntegratorConfig(dt=0.01, t_start=0.0, t_end=20.0)
     fast = integrate(system, 0.0, DisturbanceSignal(), config)
-    slow = integrate(dataclasses.replace(system, free_flight=None), 0.0,
+    slow = integrate(dataclasses.replace(system, free_flight={}), 0.0,
                      DisturbanceSignal(), config)
     assert fast.states[0].values.tobytes() == slow.states[0].values.tobytes()
     assert fast.states[0].values.max() == 10.0

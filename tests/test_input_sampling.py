@@ -283,7 +283,7 @@ def _probed_run(free_flight):
         system, rhs=counted("rhs", system.rhs),
         mode_update=counted("mode_update", system.mode_update),
         project=counted("project", system.project), forcing=forcing,
-        free_flight=system.free_flight if free_flight else None)
+        free_flight=system.free_flight if free_flight else {})
     integrate(probe, config.energy.E_init, config.disturbance, integ)
     return calls, seen, integ
 
