@@ -7,7 +7,6 @@ must carry most of a default run, and must not redo array work when a
 run sits on a storage bound.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +16,7 @@ from risktraj.config import DisturbanceSignal, IntegratorConfig, LoadPolicy
 from risktraj.dynamics import _BLOCK_STEPS, DynamicalSystem, integrate
 from risktraj.errors import IntegrationDivergedError, ParameterError
 from risktraj.io_formats import apply_overrides, config_to_parser, parser_to_config
+from risktraj.record import replace
 from risktraj.scenario import CASE_IDS, build_case, default_config
 
 COARSE = "integrator.dt_s=0.02"
@@ -54,7 +54,7 @@ def _probed(case_id, config):
             counts["computed"] += len(x)
         return system.mode_update(k, x, mode)
 
-    probe = dataclasses.replace(system, rhs=rhs, mode_update=mode_update)
+    probe = replace(system, rhs=rhs, mode_update=mode_update)
     result = _run(probe, config)
     return result, counts["rhs"] // 4, counts["passes"], counts["computed"]
 
@@ -72,7 +72,7 @@ def test_same_states_and_modes_as_scalar_loop(case_id, overrides):
     config = _config(overrides)
     system = build_case(case_id, config)
     fast = _run(system, config)
-    slow = _run(dataclasses.replace(system, free_flight={}), config)
+    slow = _run(replace(system, free_flight={}), config)
     assert fast.states[0].values.tobytes() == slow.states[0].values.tobytes()
     assert fast.modes == slow.modes
 
@@ -114,7 +114,7 @@ def test_divergence_raised_at_the_scalar_loop_time(bad):
     system = _ramp(lambda times, d: np.where(times < 3.0, 1.5, bad) * d)
     config = IntegratorConfig(dt=0.01, t_start=0.0, t_end=60.0)
     times = []
-    for candidate in (system, dataclasses.replace(system, free_flight={})):
+    for candidate in (system, replace(system, free_flight={})):
         with pytest.raises(IntegrationDivergedError) as err:
             integrate(candidate, 0.0, DisturbanceSignal(), config)
         times.append(err.value.time)
@@ -127,7 +127,7 @@ def test_leaves_the_interval_into_the_scalar_loop():
     system = _ramp(lambda times, d: 1.5 * d)
     config = IntegratorConfig(dt=0.01, t_start=0.0, t_end=60.0)
     fast = integrate(system, 0.0, DisturbanceSignal(), config)
-    slow = integrate(dataclasses.replace(system, free_flight={}), 0.0,
+    slow = integrate(replace(system, free_flight={}), 0.0,
                      DisturbanceSignal(), config)
     assert fast.states[0].values.tobytes() == slow.states[0].values.tobytes()
     assert fast.states[0].values[-1] == pytest.approx(30.0)
@@ -141,7 +141,7 @@ def test_step_that_leaves_is_projected():
                    project=lambda x: min(max(x, -10.0), 10.0))
     config = IntegratorConfig(dt=0.01, t_start=0.0, t_end=20.0)
     fast = integrate(system, 0.0, DisturbanceSignal(), config)
-    slow = integrate(dataclasses.replace(system, free_flight={}), 0.0,
+    slow = integrate(replace(system, free_flight={}), 0.0,
                      DisturbanceSignal(), config)
     assert fast.states[0].values.tobytes() == slow.states[0].values.tobytes()
     assert fast.states[0].values.max() == 10.0

@@ -11,7 +11,6 @@ blocks: numpy computes s**2 as s*s, and its pow on one element gives the
 same bits as on a block.
 """
 
-import dataclasses
 import math
 from collections import Counter
 
@@ -31,6 +30,7 @@ from risktraj.config import (
 from risktraj.dynamics import DynamicalSystem, integrate
 from risktraj.errors import IntegrationDivergedError
 from risktraj.metrics import MetricsConfig
+from risktraj.record import replace
 from risktraj.scenario import CASE_IDS, build_case, default_config, run_case
 
 # Step counts on both sides of the 4,096-step sampling block.
@@ -263,7 +263,7 @@ def test_forcing_and_divergence_match_per_step_reference(window, blowup):
 
 def _probed_run(free_flight):
     """Counted rhs/mode_update/project calls and the forcing's times."""
-    config = dataclasses.replace(
+    config = replace(
         default_config(), integrator=IntegratorConfig(dt=0.02, t_start=0.0, t_end=144.0))
     integ = config.integrator
     system = build_case("anticipatory", config)
@@ -279,7 +279,7 @@ def _probed_run(free_flight):
         seen.extend(times.tolist())
         return system.forcing(times, d)
 
-    probe = dataclasses.replace(
+    probe = replace(
         system, rhs=counted("rhs", system.rhs),
         mode_update=counted("mode_update", system.mode_update),
         project=counted("project", system.project), forcing=forcing,
@@ -320,11 +320,11 @@ def test_recorded_input_is_the_stepped_input(case_id, shape, dt):
     # The P_in column holds, bit for bit, the input that reached the
     # right-hand side at each grid time. dt None keeps the shipped step.
     config = default_config()
-    config = dataclasses.replace(
-        config, solar=dataclasses.replace(config.solar, shape_exponent=shape))
+    config = replace(
+        config, solar=replace(config.solar, shape_exponent=shape))
     if dt is not None:
-        config = dataclasses.replace(
-            config, integrator=dataclasses.replace(config.integrator, dt=dt))
+        config = replace(
+            config, integrator=replace(config.integrator, dt=dt))
     system = build_case(case_id, config)
     stepped = {}
 
@@ -333,7 +333,7 @@ def test_recorded_input_is_the_stepped_input(case_id, shape, dt):
         stepped.update(zip(times.tolist(), u.tolist()))
         return u
 
-    integrate(dataclasses.replace(system, forcing=forcing), config.energy.E_init,
+    integrate(replace(system, forcing=forcing), config.energy.E_init,
               config.disturbance, config.integrator)
     recorded = run_case(case_id, config).p_in
     expected = np.array([stepped[t] for t in recorded.times().tolist()])
