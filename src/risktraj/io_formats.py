@@ -444,7 +444,7 @@ def _config_schema() -> dict:
     schema = {}
     for section, (class_name, keys) in _CONFIG_SECTIONS.items():
         record = getattr(config, class_name)
-        kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(record)}
+        kinds = {f.name: _FIELD_KINDS[f.annotation] for f in fields(record)}
         attrs = [_key_field(key) for key in keys]
         schema[section] = (record, {key: (attr, kinds[attr])
                                     for key, attr in zip(keys, attrs)})

@@ -99,7 +99,7 @@ class ResilienceReport(Record):
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type in ("float", "float | None"):  # the number fields
+            if f.annotation in ("float", "float | None"):  # the number fields
                 value = getattr(self, f.name)
                 if value is not None and not math.isfinite(value):
                     raise ParameterError(f"{f.name} must be finite, got {value}")

@@ -6,28 +6,26 @@ keyword-only. A record binds its arguments to its class's `__signature__`,
 runs `__post_init__` (which may set a field with `object.__setattr__`),
 stores each dict field as a read-only copy and then refuses assignment and
 deletion. Eq, hash and repr follow the type and the fields, as a frozen
-dataclass's do, but defining a record class runs no `exec`.
+dataclass's do, but defining a record class runs no `exec`, and a record
+is no dataclass: `dataclasses.fields` and `replace` raise TypeError on it.
 """
 
 from inspect import Parameter, Signature
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 
 
 class Record:
-    # name -> field (name, type as written, default, kw_only), inherited ones
-    # first; dataclasses.replace reads it too, with init and _field_type. A
-    # record's __dict__ holds its fields in this order and nothing else.
-    __dataclass_fields__: dict = {}
+    # The one field table: a parameter per field (name, annotation as
+    # written, default, kind), inherited ones first. A record's __dict__
+    # holds its fields in this order and nothing else.
+    __signature__ = Signature()
 
     def __init_subclass__(cls, kw_only=False):
-        cls.__dataclass_fields__ = table = {**cls.__dataclass_fields__, **{
-            name: SimpleNamespace(name=name, type=annotation, kw_only=kw_only, init=True,
-                                  default=cls.__dict__.get(name, Parameter.empty),
-                                  _field_type=None)
-            for name, annotation in cls.__dict__.get("__annotations__", {}).items()}}
-        cls.__signature__ = Signature([Parameter(
-            f.name, Parameter.KEYWORD_ONLY if f.kw_only else Parameter.POSITIONAL_OR_KEYWORD,
-            default=f.default) for f in table.values()])
+        kind = Parameter.KEYWORD_ONLY if kw_only else Parameter.POSITIONAL_OR_KEYWORD
+        cls.__signature__ = Signature({**cls.__signature__.parameters, **{
+            name: Parameter(name, kind, annotation=annotation,
+                            default=cls.__dict__.get(name, Parameter.empty))
+            for name, annotation in cls.__dict__.get("__annotations__", {}).items()}}.values())
 
     def __init__(self, *args, **kwargs):
         bound = self.__signature__.bind(*args, **kwargs)
@@ -70,9 +68,9 @@ def _build(cls, values: dict) -> Record:
 
 
 def fields(record) -> tuple:
-    """The fields of a record or record class in declaration order, each
-    with a name and a type (its annotation as written)."""
-    return tuple(record.__dataclass_fields__.values())
+    """The fields of a record or record class in declaration order, each an
+    inspect.Parameter with a name and an annotation (as written)."""
+    return tuple(record.__signature__.parameters.values())
 
 
 def replace(record: Record, **changes) -> Record:

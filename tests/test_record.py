@@ -2,8 +2,8 @@
 
 It binds arguments as a frozen dataclass's generated `__init__` does,
 refuses assignment and deletion, and gives eq, hash and repr by type and
-fields. `fields` and `replace` stand in for the `dataclasses` functions;
-`dataclasses.replace` still rebuilds a record.
+fields. `fields` and `replace` stand in for the `dataclasses` functions,
+which refuse a record.
 """
 
 import copy
@@ -107,7 +107,7 @@ def test_fields_list_inherited_fields_first():
     base = [f.name for f in fields(ResilienceReport)]
     assert [f.name for f in fields(ReportDocument)] == [
         *base, "case_id", "config_digest", "artifact_version"]
-    assert [f.type for f in fields(IntegratorConfig)] == ["float"] * 3
+    assert [f.annotation for f in fields(IntegratorConfig)] == ["float"] * 3
     assert fields(default_config().integrator) == fields(IntegratorConfig)
 
 
@@ -130,9 +130,10 @@ def test_pickle_and_deepcopy_rebuild_a_record():
         copied.policies["bogus"] = config.policies["passive"]
 
 
-def test_dataclasses_replace_rebuilds_a_record():
-    # code written for the dataclass versions keeps working
+def test_dataclasses_functions_refuse_a_record():
+    # a record is no dataclass: these fail loudly instead of seeing no fields
     policy = LoadPolicy(2.75)
-    assert dataclasses.replace(policy, gain=0.5) == LoadPolicy(2.75, gain=0.5)
-    with pytest.raises(ParameterError, match=r"^P0 must be > 0, got -1.0$"):
-        dataclasses.replace(policy, P0=-1.0)
+    with pytest.raises(TypeError):
+        dataclasses.fields(policy)
+    with pytest.raises(TypeError):
+        dataclasses.replace(policy, gain=0.5)
