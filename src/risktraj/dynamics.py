@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -79,7 +80,7 @@ class DynamicalSystem(Record):
     mode_init: Any = None
     project: Callable[[float], float] = lambda x: x
     forcing: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda _times, d: d
-    free_flight: Mapping[Any, tuple[float, float, float]] = {}
+    free_flight: Mapping[Any, tuple[float, float, float]] = MappingProxyType({})
 
     def __post_init__(self):
         for name, value in vars(self).items():

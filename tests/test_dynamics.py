@@ -191,6 +191,22 @@ class TestIntegrate:
         # slopes 1,2,3,4 over the four panels
         assert np.allclose(np.diff(result.states[0].values), [0.5, 1.0, 1.5, 2.0])
 
+    def test_rhs_alone_integrates_with_every_default(self):
+        config = IntegratorConfig(dt=0.1, t_start=0.0, t_end=1.0)
+        result = run(DynamicalSystem(rhs=lambda x, u, _m: -x), [1.0], config)
+        assert result.modes == (None,) * (config.n_steps() + 1)
+        assert result.observable.grid == result.states[0].grid
+        assert np.array_equal(result.observable.values, result.states[0].values)
+
+    @pytest.mark.parametrize("hook", [
+        "rhs", "output_map", "mode_update", "project", "forcing", "free_flight"])
+    def test_hook_passed_as_none_is_refused(self, hook):
+        with pytest.raises(ParameterError, match=f"^{hook} must not be None"):
+            DynamicalSystem(**{"rhs": lambda x, u, _m: -x, hook: None})
+
+    def test_mode_init_may_be_none(self):
+        assert DynamicalSystem(rhs=lambda x, u, _m: -x, mode_init=None).mode_init is None
+
 
 class TestLinearDecaySystem:
     def test_matches_analytic_solution(self):

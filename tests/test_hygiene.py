@@ -5,7 +5,9 @@ Every import in a module of src/risktraj is used in that module, and
 every module-level single-underscore name is referenced somewhere in the
 package, so a deletion cannot leave an unused import or helper behind.
 Only trajectory.py rounds a time to a sample index: TimeGrid owns that
-arithmetic and the exactness it needs far from t = 0.
+arithmetic and the exactness it needs far from t = 0. The integrator
+takes one path: every system hook has a default, so no hook is tested
+for None.
 """
 
 import ast
@@ -68,3 +70,19 @@ def test_only_the_time_grid_rounds_times_to_samples():
              if any(isinstance(sub, ast.Attribute) and sub.attr == "dt"
                     for arg in node.args for sub in ast.walk(arg))]
     assert found == []
+
+
+def _none_tests(function: ast.FunctionDef) -> list[str]:
+    """The comparisons with None in a function's body, as source text."""
+    return [ast.unparse(node) for node in ast.walk(function)
+            if isinstance(node, ast.Compare)
+            and any(isinstance(side, ast.Constant) and side.value is None
+                    for side in (node.left, *node.comparators))]
+
+
+def test_the_integrator_tests_no_hook_for_none():
+    functions = {node.name: node for node in MODULES["dynamics.py"].body
+                 if isinstance(node, ast.FunctionDef)}
+    # the short-pulse warning asks whether there is a pulse, not a hook
+    assert _none_tests(functions["integrate"]) == ["disturbance.window is not None"]
+    assert _none_tests(functions["_flight"]) == []
