@@ -12,7 +12,7 @@ but the right-hand side has a neutral default, so every system takes
 the one stepping path.
 
 A system may also declare free flight: per mode a constant load L and
-an open interval on which f(x, u) == u - L bit for bit. A stretch of
+an open interval on which f(x, u, mode) == u - L bit for bit. A stretch of
 steps that stays inside that interval without a mode change is stepped
 in one numpy pass, its states taken with one cumulative sum; the result
 equals the scalar loop's bit for bit, because both evaluate the same
@@ -85,7 +85,7 @@ class DynamicalSystem(Record):
     def __post_init__(self):
         for name, value in vars(self).items():
             if value is None and name != "mode_init":
-                raise ParameterError(f"{name} must not be None; leave it out for its default")
+                raise ParameterError(f"{name} must not be None; a hook left out takes its default")
 
 
 class IntegrationResult(Record):
