@@ -204,9 +204,6 @@ class TestIntegrate:
         with pytest.raises(ParameterError, match=f"^{hook} must not be None"):
             DynamicalSystem(**{"rhs": lambda x, u, _m: -x, hook: None})
 
-    def test_mode_init_may_be_none(self):
-        assert DynamicalSystem(rhs=lambda x, u, _m: -x, mode_init=None).mode_init is None
-
 
 class TestLinearDecaySystem:
     def test_matches_analytic_solution(self):
