@@ -3,7 +3,7 @@
 The state is one Python float, stepped without numpy so a step costs a
 few microseconds of interpreter time. Everything that depends on time
 only (the disturbance and the system's forcing) is sampled with numpy
-once per block of steps, so the step loop reads plain floats from lists.
+once per block of steps, so the step loop reads the block's arrays.
 Time reaches a system only through its input: it is described by its
 right-hand side f(x, u, mode), where the mode is a discrete companion
 state (e.g. a load-shedding flag) that its mode_update hook applies once
@@ -37,7 +37,7 @@ from .record import Record
 from .trajectory import TimeGrid, Trajectory
 
 # Steps whose substep inputs are sampled at once: bounds the sampled
-# arrays and lists to a few hundred kB whatever the run length.
+# arrays to a few hundred kB whatever the run length.
 _BLOCK_STEPS = 4096
 # Fewest steps a free-flight pass covers. The first pass covers a whole
 # block; after a pass that was free throughout the span doubles, and
@@ -64,13 +64,14 @@ class DynamicalSystem(Record):
     and must let NaN through so divergence is still reported.
     output_map(states) is called once on the recorded state array and
     returns the observable array. Both are the identity by default.
-    free_flight maps each mode to (load, lo, hi): for every lo < x < hi,
-    rhs(x, u, mode) must equal u - load bit for bit and project(x) must
-    be x itself. integrate() then steps such stretches in numpy passes,
-    calling mode_update(steps, x, mode) with the slice of grid indices
-    and the array of states there, so the law must accept arrays too (a
-    scalar result means the mode cannot change). States and modes equal
-    the scalar loop's, bit for bit. By default the table is empty.
+    free_flight maps each (hashable) mode to (load, lo, hi): for every
+    lo < x < hi, rhs(x, u, mode) must equal u - load bit for bit and
+    project(x) must be x itself. integrate() then steps such stretches in
+    numpy passes, calling mode_update(steps, x, mode) with the slice of
+    grid indices and the array of states there, so the law must accept
+    arrays too (a scalar result means the mode cannot change). States and
+    modes equal the scalar loop's, bit for bit. A mode without an entry
+    never flies; by default the table is empty.
     A hook passed as None is refused; leave it out for its default.
     """
 
@@ -97,15 +98,15 @@ class IntegrationResult(Record):
     modes: tuple
 
 
-def _flight(x, mode, flight, mode_update, steps, u0, um, u1, dt):
+def _flight(x, mode, free, mode_update, steps, u0, um, u1, dt):
     """Free-flight pass in mode over the steps whose inputs are u0, um, u1.
 
     x is the state at the first step; steps is the slice of their grid
     indices. Returns (p, states): the first p steps are free, and
     states[i] is the state after i of them, computed as the scalar loop
-    computes it.
+    computes it. free is the mode's (load, lo, hi) entry.
     """
-    load, lo, hi = flight[mode]
+    load, lo, hi = free
     half, sixth = 0.5 * dt, dt / 6.0
     # Steps that overflow are not free and go to the scalar loop, so the
     # array arithmetic on them is discarded without a warning.
@@ -139,12 +140,11 @@ def integrate(
     at (t, t+dt/2, t+dt/2, t+dt) and held fixed within each substep; pulse
     edges are not located sub-step, so keep dt small relative to the
     pulse duration. The input is sampled once per block of steps, at each
-    substep time exactly once. Where the system declares free flight, each
-    step that starts strictly inside a declared interval opens a numpy
-    pass over the following steps of its block; the pass keeps the steps
-    up to the first one that leaves its mode's interval (with any substep
-    state), changes the mode or is not finite, and that step falls to the
-    scalar loop.
+    substep time exactly once. Each step that starts strictly inside its
+    mode's free-flight interval opens a numpy pass over the following
+    steps of its block; the pass keeps the steps up to the first one that
+    leaves its mode's interval (with any substep state), changes the mode
+    or is not finite, and that step falls to the scalar loop.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape not in ((), (1,)):
@@ -186,10 +186,6 @@ def integrate(
     x = store(0, x)
     modes = []
     flight = system.free_flight
-    # A pass opens only inside the hull of the intervals, so a step
-    # outside all of them costs one comparison.
-    free_lo = min((lo for _, lo, _ in flight.values()), default=math.inf)
-    free_hi = max((hi for _, _, hi in flight.values()), default=-math.inf)
     span = _BLOCK_STEPS
 
     # t_start + dt*k is grid.time_at(k) bit for bit, on arrays as on floats.
@@ -202,13 +198,13 @@ def integrate(
         # one that ended the step before it) and at each step's midpoint
         edge = np.concatenate(([u1], sampled[m:]))
         mid = sampled[:m]
-        a_edge, a_mid = edge.tolist(), mid.tolist()
         j = 0  # steps of this block done
         while j < m:
-            if free_lo < x < free_hi:
+            free = flight.get(mode, (0.0, 0.0, 0.0))  # no entry: an empty interval
+            if free[1] < x < free[2]:
                 e = min(j + span, m)
                 k = lo + j
-                p, run = _flight(x, mode, flight, mode_update, slice(k, lo + e),
+                p, run = _flight(x, mode, free, mode_update, slice(k, lo + e),
                                  edge[j:e], mid[j:e], edge[j + 1:e + 1], dt)
                 if p:
                     states[k + 1:k + p] = run[1:p]
@@ -222,14 +218,14 @@ def integrate(
             # one scalar step; the next turn opens a pass if it ends where one may
             mode = mode_update(lo + j, x, mode)
             modes.append(mode)
-            um = a_mid[j]
-            k1 = rhs(x, a_edge[j], mode)
+            um = mid[j].item()
+            k1 = rhs(x, edge[j].item(), mode)
             k2 = rhs(x + half * k1, um, mode)
             k3 = rhs(x + half * k2, um, mode)
-            k4 = rhs(x + dt * k3, a_edge[j + 1], mode)
+            k4 = rhs(x + dt * k3, edge[j + 1].item(), mode)
             x = store(lo + j + 1, x + sixth * (k1 + 2.0 * (k2 + k3) + k4))
             j += 1
-        u1 = a_edge[-1]
+        u1 = edge[-1]
 
     modes.append(mode_update(n_steps, x, mode))
     return IntegrationResult(

@@ -28,6 +28,8 @@ CLAMPED = {
 # A load of 1e308 overflows the passes' increments: those steps are not
 # free and fall to the scalar loop, and numpy must not warn about them.
 OVERFLOW = ["integrator.dt_s=0.5", "policy.passive.P0_W=1e308"]
+# The anticipatory feedback gain; at 0 the non-shedding load is P0 at every level.
+GAIN = "policy.anticipatory.gain_W_per_J={}".format
 
 
 def _config(overrides):
@@ -66,7 +68,8 @@ def _switches(modes):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("overrides", [[], [COARSE], *(
-    [COARSE, "integrator.t_end_s=48", *extra] for extra in CLAMPED.values()), OVERFLOW])
+    [COARSE, "integrator.t_end_s=48", *extra] for extra in CLAMPED.values()), OVERFLOW,
+    [GAIN(0)], [GAIN(0.5)]])
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_same_states_and_modes_as_scalar_loop(case_id, overrides):
     config = _config(overrides)
@@ -84,6 +87,55 @@ def test_engages_on_shipped_defaults(case_id):
     config = default_config()
     _, scalar, _, _ = _probed(case_id, config)
     assert scalar < 0.15 * config.integrator.n_steps()
+
+
+# Each shipped case, and anticipatory at gains that move its table: at
+# 0 the non-shedding interval reaches down to 0, above it starts at E_target.
+TABLES = [(case_id, []) for case_id in CASE_IDS] + [
+    ("anticipatory", [GAIN(gain)]) for gain in (0, 0.5, 2)]
+
+
+def _neighbours(x):
+    return (np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf))
+
+
+@pytest.mark.parametrize("case_id, overrides", TABLES)
+def test_table_entries_hold_the_contract(case_id, overrides):
+    config = _config(overrides)
+    policy = config.policies[case_id]
+    system = build_case(case_id, config)
+    E_max = config.energy.E_max
+    above = 0.0 if policy.gain == 0.0 else max(0.0, policy.E_target)
+    assert system.free_flight == {
+        False: (policy.P0, above, E_max), True: (policy.floor, 0.0, E_max)}
+    candidates = [*_neighbours(policy.E_target)]
+    if policy.gain > 0.0:
+        candidates += _neighbours(policy.E_target - (policy.P0 - policy.floor) / policy.gain)
+    peak = config.solar.P_peak
+    for mode, (load, lo, hi) in system.free_flight.items():
+        inside = [float(x) for x in candidates if lo < x < hi]
+        for x in [np.nextafter(lo, hi).item(), np.nextafter(hi, lo).item(), *inside]:
+            assert system.project(x) == x
+            for u in (0.0, peak / 2, peak):
+                assert system.rhs(x, u, mode) == u - load, (mode, x, u)
+
+
+@pytest.mark.parametrize("case_id, overrides, budget", [
+    ("passive", [], 0), ("reactive", [], 2),
+    ("anticipatory", [], 600), ("anticipatory", [GAIN(0)], 10)])
+def test_scalar_steps_within_budget(case_id, overrides, budget):
+    # Each mode flies wherever its load is constant, so the scalar loop
+    # takes only the anticipatory band and the steps that switch.
+    _, scalar, _, _ = _probed(case_id, _config(overrides))
+    assert scalar <= budget
+
+
+@pytest.mark.parametrize("overrides", [[], *([GAIN(g)] for g in (0, 0.5, 2)), [COARSE]])
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_array_work_within_twice_the_steps(case_id, overrides):
+    config = _config(overrides)
+    _, _, _, computed = _probed(case_id, config)
+    assert computed <= 2 * config.integrator.n_steps()
 
 
 @pytest.mark.parametrize("name", sorted(CLAMPED))
@@ -153,3 +205,21 @@ def test_anticipatory_gain_must_be_finite(gain):
     with pytest.raises(ParameterError, match="gain"):
         LoadPolicy(P0=2.0, horizon=6.0, E_target=40.0, shed_fraction=0.5,
                    gain=gain)
+
+
+def test_mode_without_an_entry_never_flies():
+    # Mode 0 flies on (0, 10); mode 1, from grid index 50, has no entry.
+    steps = np.arange(201)
+    system = DynamicalSystem(
+        rhs=lambda x, u, mode: u - 1.0 if mode == 0 else u - x,
+        forcing=lambda times, d: 1.5 * d,
+        mode_update=lambda k, _x, _mode: (steps[k] >= 50) * 1,
+        mode_init=0,
+        free_flight={0: (1.0, 0.0, 10.0)},
+    )
+    config = IntegratorConfig(dt=0.01, t_start=0.0, t_end=2.0)
+    fast = integrate(system, 1.0, DisturbanceSignal(), config)
+    slow = integrate(replace(system, free_flight={}), 1.0, DisturbanceSignal(), config)
+    assert fast.states[0].values.tobytes() == slow.states[0].values.tobytes()
+    assert fast.modes == slow.modes
+    assert fast.modes[49:51] == (0, 1)
