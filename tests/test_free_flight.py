@@ -125,7 +125,7 @@ def test_table_entries_hold_the_contract(case_id, overrides):
     ("anticipatory", [], 600), ("anticipatory", [GAIN(0)], 10)])
 def test_scalar_steps_within_budget(case_id, overrides, budget):
     # Each mode flies wherever its load is constant, so the scalar loop
-    # takes only the anticipatory band and the steps that switch.
+    # takes only the steps that switch and, not shedding, those below E_target.
     _, scalar, _, _ = _probed(case_id, _config(overrides))
     assert scalar <= budget
 
