@@ -3,7 +3,7 @@
 The state is one Python float, stepped without numpy so a step costs a
 few microseconds of interpreter time. Everything that depends on time
 only (the disturbance and the system's forcing) is sampled with numpy
-once per block of steps, so the step loop reads the block's arrays.
+once per block of steps, so the step loop reads plain floats from lists.
 Time reaches a system only through its input: it is described by its
 right-hand side f(x, u, mode), where the mode is a discrete companion
 state (e.g. a load-shedding flag) that its mode_update hook applies once
@@ -37,7 +37,7 @@ from .record import Record
 from .trajectory import TimeGrid, Trajectory
 
 # Steps whose substep inputs are sampled at once: bounds the sampled
-# arrays to a few hundred kB whatever the run length.
+# arrays and lists to a few hundred kB whatever the run length.
 _BLOCK_STEPS = 4096
 # Fewest steps a free-flight pass covers. The first pass covers a whole
 # block; after a pass that was free throughout the span doubles, and
@@ -45,6 +45,8 @@ _BLOCK_STEPS = 4096
 # pass thus computes at most about twice the steps it keeps plus this
 # many, which keeps the array work linear in the run length.
 _MIN_SPAN = 64
+# The free-flight entry of a mode without one: an empty interval.
+_NO_FLIGHT = (0.0, 0.0, 0.0)
 
 
 class DynamicalSystem(Record):
@@ -186,6 +188,9 @@ def integrate(
     x = store(0, x)
     modes = []
     flight = system.free_flight
+    flies = bool(flight)  # a system without a table never hashes its mode
+    # the mode's (load, lo, hi), looked up again whenever the mode is updated
+    free = flight.get(mode, _NO_FLIGHT) if flies else _NO_FLIGHT
     span = _BLOCK_STEPS
 
     # t_start + dt*k is grid.time_at(k) bit for bit, on arrays as on floats.
@@ -198,9 +203,9 @@ def integrate(
         # one that ended the step before it) and at each step's midpoint
         edge = np.concatenate(([u1], sampled[m:]))
         mid = sampled[:m]
+        a_edge, a_mid = edge.tolist(), mid.tolist()
         j = 0  # steps of this block done
         while j < m:
-            free = flight.get(mode, (0.0, 0.0, 0.0))  # no entry: an empty interval
             if free[1] < x < free[2]:
                 e = min(j + span, m)
                 k = lo + j
@@ -217,15 +222,17 @@ def integrate(
                 span = max(2 * p, _MIN_SPAN)
             # one scalar step; the next turn opens a pass if it ends where one may
             mode = mode_update(lo + j, x, mode)
+            if flies:
+                free = flight.get(mode, _NO_FLIGHT)
             modes.append(mode)
-            um = mid[j].item()
-            k1 = rhs(x, edge[j].item(), mode)
+            um = a_mid[j]
+            k1 = rhs(x, a_edge[j], mode)
             k2 = rhs(x + half * k1, um, mode)
             k3 = rhs(x + half * k2, um, mode)
-            k4 = rhs(x + dt * k3, edge[j + 1].item(), mode)
+            k4 = rhs(x + dt * k3, a_edge[j + 1], mode)
             x = store(lo + j + 1, x + sixth * (k1 + 2.0 * (k2 + k3) + k4))
             j += 1
-        u1 = edge[-1]
+        u1 = a_edge[-1]
 
     modes.append(mode_update(n_steps, x, mode))
     return IntegrationResult(

@@ -80,34 +80,55 @@ def test_same_states_and_modes_as_scalar_loop(case_id, overrides):
     assert fast.modes == slow.modes
 
 
+# Scalar steps a probed run may take. Each mode flies wherever its load
+# is constant, so the scalar loop takes only the steps that switch and,
+# not shedding, those below E_target.
+BUDGET = {"passive": 0, "reactive": 2, "anticipatory": 600}
+
+
+def _within_budget(case_id, overrides, budget):
+    # A structural guard, not a timing: the scalar loop takes at most
+    # budget steps and the passes compute at most twice the run's steps.
+    config = _config(overrides)
+    _, scalar, _, computed = _probed(case_id, config)
+    assert scalar <= budget
+    assert computed <= 2 * config.integrator.n_steps()
+
+
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_engages_on_shipped_defaults(case_id):
-    # A structural guard, not a timing: on the shipped run the scalar
-    # loop takes fewer than 15 % of the steps.
-    config = default_config()
-    _, scalar, _, _ = _probed(case_id, config)
-    assert scalar < 0.15 * config.integrator.n_steps()
+    _within_budget(case_id, [], BUDGET[case_id])
 
 
-# Each shipped case, and anticipatory at gains that move its table: at
-# 0 the non-shedding interval reaches down to 0, above it starts at E_target.
-TABLES = [(case_id, []) for case_id in CASE_IDS] + [
-    ("anticipatory", [GAIN(gain)]) for gain in (0, 0.5, 2)]
+# Anticipatory at gains that move its table, and each case at dt 0.02.
+@pytest.mark.parametrize("case_id, overrides, budget", [
+    ("anticipatory", [GAIN(0)], 10), *(("anticipatory", [GAIN(g)], 600) for g in (0.5, 2)),
+    *((case_id, [COARSE], BUDGET[case_id]) for case_id in CASE_IDS)])
+def test_engages_off_the_defaults(case_id, overrides, budget):
+    _within_budget(case_id, overrides, budget)
+
+
+# Each shipped case, and anticipatory at gains that move its table, with
+# the (load, lo, hi) it declares per shedding flag: at gain 0 the
+# non-shedding interval reaches down to 0, above it starts at E_target.
+TABLES = [
+    ("passive", [], {False: (2.75, 0.0, 100.0), True: (2.75, 0.0, 100.0)}),
+    ("reactive", [], {False: (2.75, 0.0, 100.0), True: (1.375, 0.0, 100.0)}),
+    *(("anticipatory", overrides, {False: (2.75, lo, 100.0), True: (1.375, 0.0, 100.0)})
+      for overrides, lo in [([], 48.0), ([GAIN(0)], 0.0), ([GAIN(0.5)], 48.0), ([GAIN(2)], 48.0)]),
+]
 
 
 def _neighbours(x):
     return (np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf))
 
 
-@pytest.mark.parametrize("case_id, overrides", TABLES)
-def test_table_entries_hold_the_contract(case_id, overrides):
+@pytest.mark.parametrize("case_id, overrides, table", TABLES)
+def test_table_entries_hold_the_contract(case_id, overrides, table):
     config = _config(overrides)
     policy = config.policies[case_id]
     system = build_case(case_id, config)
-    E_max = config.energy.E_max
-    above = 0.0 if policy.gain == 0.0 else max(0.0, policy.E_target)
-    assert system.free_flight == {
-        False: (policy.P0, above, E_max), True: (policy.floor, 0.0, E_max)}
+    assert system.free_flight == table
     candidates = [*_neighbours(policy.E_target)]
     if policy.gain > 0.0:
         candidates += _neighbours(policy.E_target - (policy.P0 - policy.floor) / policy.gain)
@@ -118,24 +139,6 @@ def test_table_entries_hold_the_contract(case_id, overrides):
             assert system.project(x) == x
             for u in (0.0, peak / 2, peak):
                 assert system.rhs(x, u, mode) == u - load, (mode, x, u)
-
-
-@pytest.mark.parametrize("case_id, overrides, budget", [
-    ("passive", [], 0), ("reactive", [], 2),
-    ("anticipatory", [], 600), ("anticipatory", [GAIN(0)], 10)])
-def test_scalar_steps_within_budget(case_id, overrides, budget):
-    # Each mode flies wherever its load is constant, so the scalar loop
-    # takes only the steps that switch and, not shedding, those below E_target.
-    _, scalar, _, _ = _probed(case_id, _config(overrides))
-    assert scalar <= budget
-
-
-@pytest.mark.parametrize("overrides", [[], *([GAIN(g)] for g in (0, 0.5, 2)), [COARSE]])
-@pytest.mark.parametrize("case_id", CASE_IDS)
-def test_array_work_within_twice_the_steps(case_id, overrides):
-    config = _config(overrides)
-    _, _, _, computed = _probed(case_id, config)
-    assert computed <= 2 * config.integrator.n_steps()
 
 
 @pytest.mark.parametrize("name", sorted(CLAMPED))
