@@ -45,8 +45,7 @@ _BLOCK_STEPS = 4096
 # pass thus computes at most about twice the steps it keeps plus this
 # many, which keeps the array work linear in the run length.
 _MIN_SPAN = 64
-# The free-flight entry of a mode without one: an empty interval.
-_NO_FLIGHT = (0.0, 0.0, 0.0)
+_NO_FLIGHT = (0.0, 0.0, 0.0)  # the free-flight entry of a mode without one
 
 
 class DynamicalSystem(Record):
@@ -166,10 +165,8 @@ def integrate(
     t_start, dt = config.t_start, config.dt
     half, sixth = 0.5 * dt, dt / 6.0
 
-    forcing = system.forcing
-
     def inputs(times: np.ndarray) -> np.ndarray:
-        return forcing(times, disturbance.sample(times))
+        return system.forcing(times, disturbance.sample(times))
 
     rhs, mode_update, mode = system.rhs, system.mode_update, system.mode_init
     project = system.project
@@ -189,8 +186,7 @@ def integrate(
     modes = []
     flight = system.free_flight
     flies = bool(flight)  # a system without a table never hashes its mode
-    # the mode's (load, lo, hi), looked up again whenever the mode is updated
-    free = flight.get(mode, _NO_FLIGHT) if flies else _NO_FLIGHT
+    free = flight.get(mode, _NO_FLIGHT) if flies else _NO_FLIGHT  # the mode's entry
     span = _BLOCK_STEPS
 
     # t_start + dt*k is grid.time_at(k) bit for bit, on arrays as on floats.
@@ -222,8 +218,7 @@ def integrate(
                 span = max(2 * p, _MIN_SPAN)
             # one scalar step; the next turn opens a pass if it ends where one may
             mode = mode_update(lo + j, x, mode)
-            if flies:
-                free = flight.get(mode, _NO_FLIGHT)
+            free = flight.get(mode, _NO_FLIGHT) if flies else _NO_FLIGHT
             modes.append(mode)
             um = a_mid[j]
             k1 = rhs(x, a_edge[j], mode)

@@ -145,9 +145,8 @@ def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
     solar = config.solar
     E_max = config.energy.E_max
     rmap = RiskMap(E_ref=config.energy.E_ref, E_min=config.energy.E_min)
-    # Inside (0, E_max) nothing clamps, so dE/dt = u - load where the load
-    # is constant. Shedding, floor less a non-negative term clips to floor;
-    # else P0 where the proportional term is 0: above E_target, or at gain 0.
+    # Inside (0, E_max) nothing clamps, so dE/dt = u - load: shedding, floor less
+    # a term >= 0 clips to floor; else the term is 0 above E_target or at gain 0.
     lo = 0.0 if policy.gain == 0.0 else max(0.0, policy.E_target)
     flight = {False: (policy.P0, lo, E_max), True: (policy.floor, 0.0, E_max)}
 

@@ -191,6 +191,17 @@ class TestIntegrate:
         # slopes 1,2,3,4 over the four panels
         assert np.allclose(np.diff(result.states[0].values), [0.5, 1.0, 1.5, 2.0])
 
+    def test_unhashable_mode_without_free_flight(self):
+        # only a free-flight table looks the mode up, so a list may serve as one
+        system = DynamicalSystem(
+            rhs=lambda x, d, mode: float(len(mode)),
+            mode_update=lambda k, x, mode: mode + [k],
+            mode_init=[],
+        )
+        result = run(system, [0.0], IntegratorConfig(dt=0.5, t_start=0.0, t_end=1.0))
+        assert result.modes == ([0], [0, 1], [0, 1, 2])
+        assert np.array_equal(result.states[0].values, [0.0, 0.5, 1.5])
+
     def test_rhs_alone_integrates_with_every_default(self):
         config = IntegratorConfig(dt=0.1, t_start=0.0, t_end=1.0)
         result = run(DynamicalSystem(rhs=lambda x, u, _m: -x), [1.0], config)
