@@ -91,12 +91,14 @@ class DynamicalSystem(Record):
 
 
 class IntegrationResult(Record):
-    """Recorded state (a 1-tuple), the observable and the mode track."""
+    """Recorded state (a 1-tuple), the observable, the mode track and the
+    input the steps read at each grid time."""
 
     grid: TimeGrid
     states: tuple[Trajectory, ...]
     observable: Trajectory
     modes: tuple
+    inputs: Trajectory
 
 
 def _flight(x, mode, free, mode_update, steps, u0, um, u1, dt):
@@ -145,7 +147,8 @@ def integrate(
     mode's free-flight interval opens a numpy pass over the following
     steps of its block; the pass keeps the steps up to the first one that
     leaves its mode's interval (with any substep state), changes the mode
-    or is not finite, and that step falls to the scalar loop.
+    or is not finite, and that step falls to the scalar loop. The input at
+    each grid time is returned too, so it must be finite there.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape not in ((), (1,)):
@@ -162,10 +165,10 @@ def integrate(
 
     n_steps = config.n_steps()
     grid = TimeGrid(config.t_start, config.dt, n_steps + 1)
-    t_start, dt = config.t_start, config.dt
+    dt = config.dt
     half, sixth = 0.5 * dt, dt / 6.0
 
-    def inputs(times: np.ndarray) -> np.ndarray:
+    def sample(times: np.ndarray) -> np.ndarray:
         return system.forcing(times, disturbance.sample(times))
 
     rhs, mode_update, mode = system.rhs, system.mode_update, system.mode_init
@@ -189,16 +192,16 @@ def integrate(
     free = flight.get(mode, _NO_FLIGHT) if flies else _NO_FLIGHT  # the mode's entry
     span = _BLOCK_STEPS
 
-    # t_start + dt*k is grid.time_at(k) bit for bit, on arrays as on floats.
-    u1 = inputs(t_start + dt * np.arange(1))[0].item()
+    # the input at each grid time: a step starts on the one that ended the
+    # step before it, so each block samples its midpoints and its end times
+    inputs = np.empty(n_steps + 1)
+    inputs[0] = sample(grid.times(0, 1))[0]
     for lo in range(0, n_steps, _BLOCK_STEPS):
         m = min(_BLOCK_STEPS, n_steps - lo)
-        times = t_start + dt * np.arange(lo, lo + m + 1)
-        sampled = inputs(np.concatenate((times[:-1] + half, times[1:])))
-        # the input at each grid time of the block (a step starts on the
-        # one that ended the step before it) and at each step's midpoint
-        edge = np.concatenate(([u1], sampled[m:]))
-        mid = sampled[:m]
+        times = grid.times(lo, lo + m + 1)
+        sampled = sample(np.concatenate((times[:-1] + half, times[1:])))
+        edge, mid = inputs[lo:lo + m + 1], sampled[:m]
+        edge[1:] = sampled[m:]
         a_edge, a_mid = edge.tolist(), mid.tolist()
         j = 0  # steps of this block done
         while j < m:
@@ -227,7 +230,6 @@ def integrate(
             k4 = rhs(x + dt * k3, a_edge[j + 1], mode)
             x = store(lo + j + 1, x + sixth * (k1 + 2.0 * (k2 + k3) + k4))
             j += 1
-        u1 = a_edge[-1]
 
     modes.append(mode_update(n_steps, x, mode))
     return IntegrationResult(
@@ -235,6 +237,7 @@ def integrate(
         states=(Trajectory(grid, states),),
         observable=Trajectory(grid, system.output_map(states)),
         modes=tuple(modes),
+        inputs=Trajectory(grid, inputs),
     )
 
 

@@ -201,21 +201,17 @@ def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
     result = integrate(
         system, config.energy.E_init, config.disturbance, config.integrator
     )
-    grid = result.grid
-    times = grid.times()
     energy = result.states[0]
     risk = result.observable
-
-    p_in = Trajectory(grid, system.forcing(times, config.disturbance.sample(times)))
-
     shed = np.array(result.modes, dtype=bool)
-    p_load = Trajectory(grid, _load_series(config.policies[case_id], energy.values, shed))
+    p_load = Trajectory(result.grid,
+                        _load_series(config.policies[case_id], energy.values, shed))
 
     report = assemble_report(risk, config.t0, config.metrics)
     return CaseResult(
         case_id=case_id,
         energy=energy,
-        p_in=p_in,
+        p_in=result.inputs,
         p_load=p_load,
         risk=risk,
         shed=result.modes,

@@ -41,8 +41,10 @@ class TimeGrid(Record):
     def time_at(self, k: int) -> float:
         return self.t_start + k * self.dt
 
-    def times(self) -> np.ndarray:
-        return self.t_start + self.dt * np.arange(self.n_samples)
+    def times(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Times of samples start to stop, exclusive (by default, to the end)."""
+        stop = self.n_samples if stop is None else stop
+        return self.t_start + self.dt * np.arange(start, stop)
 
     def index_at_or_after(self, t: float) -> int:
         """Smallest sample index k with time_at(k) >= t, clamped to the grid.

@@ -125,6 +125,23 @@ class TestIntegrate:
         )
         assert seen == [1.0, 0.2, 0.2, 0.2]
 
+    def test_inputs_are_the_forcing_at_each_grid_time(self):
+        config = IntegratorConfig(dt=0.05, t_start=1.0, t_end=3.0)
+        pulse = DisturbanceSignal(kind="pulse", onset=1.5, duration=1.0, magnitude=0.5)
+        system = DynamicalSystem(rhs=lambda x, u, _m: u,
+                                 forcing=lambda times, d: times * d)
+        result = run(system, [0.0], config, pulse)
+        times = result.grid.times()
+        assert result.inputs.grid == result.grid
+        assert result.inputs.values.tolist() == (times * pulse.sample(times)).tolist()
+
+    def test_non_finite_input_at_a_grid_time_is_refused(self):
+        # the right-hand side ignores u, but the result records it
+        system = DynamicalSystem(rhs=lambda x, u, _m: 0.0,
+                                 forcing=lambda times, d: np.where(times == 0.5, np.nan, d))
+        with pytest.raises(ParameterError, match="non-finite value at t=0.5"):
+            run(system, [0.0], IntegratorConfig(dt=0.25, t_start=0.0, t_end=1.0))
+
     def test_divergence_reports_time(self):
         system = DynamicalSystem(rhs=lambda x, d, _m: x * x)
         with pytest.raises(IntegrationDivergedError) as exc_info:

@@ -72,6 +72,18 @@ def test_only_the_time_grid_rounds_times_to_samples():
     assert found == []
 
 
+def test_only_the_integrator_samples_the_input():
+    # the recorded P_in is the input integrate stepped, not a second evaluation
+    inside = {id(node) for node in MODULES["dynamics.py"].body
+              if isinstance(node, ast.FunctionDef) and node.name == "integrate"
+              for node in ast.walk(node)}
+    found = [f"{module}:{node.lineno}"
+             for module, tree in MODULES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("forcing", "sample") and id(node) not in inside]
+    assert found == []
+
+
 def _none_tests(function: ast.FunctionDef) -> list[str]:
     """The comparisons with None in a function's body, as source text."""
     return [ast.unparse(node) for node in ast.walk(function)

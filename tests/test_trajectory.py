@@ -29,6 +29,13 @@ class TestTimeGrid:
         assert np.array_equal(t, expected)
         assert grid.time_at(999) == t[-1]
 
+    def test_times_of_a_span_are_the_slice_of_all_times(self):
+        grid = TimeGrid(t_start=3.0, dt=0.1, n_samples=1000)
+        t = grid.times()
+        assert grid.times(5, 17).tobytes() == t[5:17].tobytes()
+        assert grid.times(990).tobytes() == t[990:].tobytes()
+        assert grid.times(0, 0).size == 0
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             TimeGrid(t_start=0.0, dt=0.0, n_samples=5)
