@@ -172,7 +172,7 @@ def estimate_damping(
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     fit_quality = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return lambda_hat, min(max(fit_quality, 0.0), 1.0)
+    return lambda_hat, max(fit_quality, 0.0)
 
 
 def cumulative_impact(

@@ -108,8 +108,7 @@ def _rhs_law(policy: LoadPolicy, E_max: float) -> Callable[[float, float, bool],
         # min/max spelled as comparisons: same values, half the call cost
         short = E_target - E
         load = (floor if shed else P0) - gain * (short if short > 0.0 else 0.0)
-        load = floor if floor > load else load
-        net = u - (P0 if P0 < load else load)
+        net = u - (floor if floor > load else load)
         if (E >= E_max and net > 0.0) or (E <= 0.0 and net < 0.0):
             return 0.0
         return net
@@ -120,10 +119,10 @@ def _rhs_law(policy: LoadPolicy, E_max: float) -> Callable[[float, float, bool],
 def _load_series(policy: LoadPolicy, E: np.ndarray, shed: np.ndarray) -> np.ndarray:
     """_rhs_law's load over recorded arrays; the same values, sample by sample."""
     base = np.where(shed, policy.floor, policy.P0)
-    # a huge gain overflows to -inf, which clips to the floor as in the law
+    # a huge gain overflows to -inf, which the floor holds as in the law
     with np.errstate(over="ignore"):
         raw = base - policy.gain * np.maximum(0.0, policy.E_target - E)
-    return np.clip(raw, policy.floor, policy.P0)
+    return np.maximum(raw, policy.floor)
 
 
 def build_case(case_id: str, config: ScenarioConfig) -> DynamicalSystem:
