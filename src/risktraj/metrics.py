@@ -162,7 +162,8 @@ def estimate_damping(
     t_seg = traj.grid.times()[i_pk:i_pk + stop]
     y = np.log(seg)
     tc = t_seg - np.mean(t_seg)
-    slope = float(np.dot(tc, y - np.mean(y)) / np.dot(tc, tc))
+    # numpy's pairwise sums: no BLAS, so no bit follows the thread count
+    slope = float(np.sum(tc * (y - np.mean(y))) / np.sum(tc * tc))
     lambda_hat = -slope
     if lambda_hat <= 0.0:
         raise NoDampingError(

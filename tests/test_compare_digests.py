@@ -20,15 +20,15 @@ COARSE = "integrator.dt_s=0.02"
 
 OUTPUT_SHA256 = {
     "anticipatory_report.txt":
-        "58ef74bb107a500ad761ce7a724321a806bcc887eec1ab15034921efc1c2351b",
+        "9bd5938ddb917b2945c141a851900f3dde444dc54968b4914ee2f3ba949589f6",
     "anticipatory_trajectory.csv":
         "3b2e46508097747c6f33a4c3ecda93936d45bad6eaa866faf760e0adc9989378",
     "comparison.svg":
         "05301ff018c09465f485acdc2304c6798cbc8e4f6e996b1af651a6e7f8192297",
     "comparison.txt":
-        "1f12022d4d3f8bb8c4c81507e09294b4ed2724a080717163fcebf36957f4ddf9",
+        "25d04b91c3b7db375aa9a5e64d5ac619ec49619fc5ce2b922f93d1e1a5449299",
     "passive_report.txt":
-        "63b01a52c16fb6245fd924cfd7805bd3088892d5f3ad2ab13d412c9c553b3132",
+        "8d8aab8cb1c393c35f6d0b380df2c8540207734b9d7da3e4c95036023dfd8b20",
     "passive_trajectory.csv":
         "275a292f5872deec2b3d9285a13730e195085e3c0a484e19d4ba7e1027a69d63",
     "reactive_report.txt":

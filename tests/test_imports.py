@@ -164,6 +164,33 @@ def test_blas_thread_setting_kept_when_set(value, expected):
     assert proc.stdout == f"{expected}\n"
 
 
+LIBRARY_FIT = """
+import sys
+from risktraj.io_formats import read_trajectory
+from risktraj.metrics import MetricsConfig, assemble_report
+report = assemble_report(read_trajectory(sys.argv[1]).trajectory("r"), 0.0, MetricsConfig())
+print(repr(report.lambda_hat), repr(report.impact_closed_form))
+"""
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="one CPU runs BLAS on one thread anyway")
+def test_library_fit_does_not_follow_the_blas_thread_count(tmp_path):
+    # A library call sets no thread count, so the fit itself must not use BLAS.
+    t = 0.01 * np.arange(40_000)
+    noise = np.random.default_rng(3).standard_normal(len(t))
+    csv = tmp_path / "long.csv"
+    write_trajectory(TrajectoryTable(
+        t=t, signals={"r": 0.5 * np.exp(-0.01 * t) * (1.0 + 1e-3 * noise)}), csv)
+    outputs = [
+        subprocess.run([sys.executable, "-c", LIBRARY_FIT, str(csv)],
+                       capture_output=True, text=True, env=env, timeout=120)
+        for env in (_child_env(), _child_env(OPENBLAS_NUM_THREADS="1"))
+    ]
+    for proc in outputs:
+        assert proc.returncode == 0, proc.stderr
+    assert outputs[0].stdout == outputs[1].stdout
+
+
 RESOLVE_CONSOLE_SCRIPT = """
 import importlib, json, sys, tomllib
 with open(sys.argv[1], "rb") as fh:

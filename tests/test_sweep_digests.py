@@ -21,9 +21,9 @@ COARSE = "integrator.dt_s=0.02"
 SWEEPS = {
     # the README's sweep: passive and reactive run once, anticipatory 9 times
     ("policy.anticipatory.gain_W_per_J", "0:2:9"): (
-        "a95d1c066bac379dd1cb304cf028615c44e16e9d42fb764f9e2e9f5c64ccd432", 2 + 9),
+        "8cc4bf18ed1e9a854e2e470b290c988aaace7bc2e2da49d3f85848d06d74f9dd", 2 + 9),
     ("disturbance.magnitude", "0:0.5:3"): (
-        "287a84d3d45356ebb83fd736fedf01ea7c10efd454ec456f994e33c08563f8f5", 3 * 3),
+        "d65a620ce66e87c556a3cf0bbe4987f5cc37701b86d8dc7a9d965851ae55ebc4", 3 * 3),
 }
 
 
