@@ -191,9 +191,7 @@ def _parse_range(spec: str) -> np.ndarray:
         raise RisktrajError(f"range count must be in [1, {MAX_STEPS}], got {count}")
     if stop < start:
         raise RisktrajError(f"range stop {stop} is below start {start}")
-    if count == 1:
-        return np.array([start])
-    return np.linspace(start, stop, count)
+    return np.linspace(start, stop, count) + 0.0  # -0.0 is swept as 0
 
 
 def _cmd_sweep(args) -> int:

@@ -595,6 +595,12 @@ class TestSweep:
         assert [line.split(",")[0] for line in lines[1:]] == ["-1", "0", "1"]
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    @pytest.mark.parametrize("spec, values", [
+        ("-0:0:2", [0.0, 0.0]), ("-0:-0:1", [0.0]), ("1:2:1", [1.0])])
+    def test_range_values_carry_no_signed_zero(self, spec, values):
+        swept = _parse_range(spec)
+        assert swept.tolist() == values and not np.signbit(swept).any()
+
     def test_count_at_limit_accepted(self, monkeypatch):
         # linspace is stubbed so the limit is checked without allocating
         monkeypatch.setattr(np, "linspace", lambda start, stop, count: count)

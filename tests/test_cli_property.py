@@ -2,7 +2,8 @@
 line on stderr and exit 1: never a traceback, another exit code or a
 Python warning. On exit 0 stderr is empty, or holds the one `warning: ...`
 line of the advisory `integrate` gives when the step is coarse for the
-disturbance pulse.
+disturbance pulse; a sweep, which runs one config per value, holds one
+such line per distinct advisory.
 
 The argv of each subcommand is drawn from a grammar: extreme numbers (nan,
 ±inf, -0, 1e308, the smallest subnormal) in flags, overrides and sweep
@@ -22,7 +23,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from risktraj.cli import main
@@ -243,16 +244,29 @@ def test_every_command_line_exits_cleanly(tmp_path_factory):
     argv_of = st.one_of(simulate_argv(files), compare_argv(files), sweep_argv(files),
                         analyze_argv(files), emit_plot_argv(files))
 
+    def duration_sweep(spec):
+        return ["sweep", "--param", "disturbance.duration_s", "--range", spec,
+                "--out", files.path("sweep.csv"), *COARSE]
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(argv_of)
+    @example(duration_sweep("0:0.5:2"))  # two durations, each below 10*dt
+    @example(duration_sweep("0:-0:2"))   # 0 and -0, one duration
     def check(argv):
         code, err, caught = _run(argv)
         assert caught == [], (argv, caught)
         if code == 0:
-            # or the advisory integrate gives for a step too coarse for the pulse
-            assert err == "" or (err.startswith("warning: pulse duration ")
-                                 and err.count("\n") == 1), (argv, err)
+            # only the advisory integrate gives for a step too coarse for the
+            # pulse: once, or in a sweep once per distinct message
+            lines = err.splitlines()
+            assert err == "".join(f"{line}\n" for line in lines), (argv, err)
+            assert all(line.startswith("warning: pulse duration ")
+                       for line in lines), (argv, err)
+            if argv[0] == "sweep":
+                assert len(set(lines)) == len(lines), (argv, err)
+            else:
+                assert len(lines) <= 1, (argv, err)
         else:
             assert code == 1, (argv, code, err)
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
