@@ -1,4 +1,5 @@
-"""The summariser of tools/bench_record.py, on canned perfbench output.
+"""The summariser of tools/bench_record.py, on canned perfbench output,
+and its refusal to measure uncommitted code.
 
 Each run of perfbench/run.py ends in one JSON line; the summariser pairs
 the parent's and the change's runs and reports medians, quartiles and
@@ -70,3 +71,26 @@ def test_workloads_apart_and_unpaired_runs_left_out():
     assert summary["b"]["wall_s"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0,
                                                 "iqr": 0.0}
     assert summary["b"]["wall_s"]["parent_wins"] == 1
+
+
+def test_uncommitted_source_stops_before_any_run(monkeypatch, capsys, tmp_path):
+    tool = load_tool()
+    asked = []
+
+    def git(*args):
+        asked.append(args)
+        return " M src/risktraj/metrics.py" if args[0] == "status" else "0" * 40
+
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be extracted or run")
+
+    monkeypatch.setattr(tool, "_git", git)
+    monkeypatch.setattr(tool, "_extract", never)
+    monkeypatch.setattr(tool, "_run", never)
+    out = tmp_path / "bench.json"
+    assert tool.main(["--parent", "HEAD~1", "--out", str(out)]) == 2
+    assert asked == [("status", "--porcelain", "--untracked-files=no", "--",
+                      "src", "perfbench", "tools")]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

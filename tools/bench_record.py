@@ -1,4 +1,4 @@
-"""Paired benchmark record: a parent commit against the working tree.
+"""Paired benchmark record: a parent commit against HEAD.
 
 Usage, from the root of a source checkout:
 
@@ -6,8 +6,12 @@ Usage, from the root of a source checkout:
         [--workload compare_default --workload analyze_external] \\
         [--pairs 10] [--seconds 55] [--seed 500]
 
-The parent is extracted with `git archive` into a temporary directory; the
-change is the working tree as it stands. For each workload, pair i runs
+Each side is extracted with `git archive` into its own temporary
+directory, the parent from the named commit and the change from HEAD, so
+both run committed files from fresh directories, neither with bytecode
+that the other lacks. The tool refuses to start while `src`, `perfbench`
+or `tools` has uncommitted changes, which it would not measure. For each
+workload, pair i runs
 `perfbench/run.py --trace 0` once on each side with seed `--seed + i`,
 the parent first on even pairs and the change first on odd ones, so a
 drift of the host's speed favours neither side. One `--trace 1` run per
@@ -34,6 +38,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+MEASURED = ("src", "perfbench", "tools")  # measured only as committed
 
 
 def parse_result(stdout: str) -> dict:
@@ -97,8 +102,8 @@ def _git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def _extract(parent: str, into: Path) -> None:
-    archive = subprocess.run(["git", "archive", parent], cwd=ROOT, capture_output=True,
+def _extract(commit: str, into: Path) -> None:
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True,
                              check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
@@ -113,21 +118,25 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=55.0)
     ap.add_argument("--seed", type=int, default=500)
     args = ap.parse_args(argv)
+    if _git("status", "--porcelain", "--untracked-files=no", "--", *MEASURED):
+        print(f"error: commit the changes to {', '.join(MEASURED)} first; "
+              "only HEAD is measured", file=sys.stderr)
+        return 2
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in contract["workloads"]]
     better = {m["name"]: m["better"] for m in contract["end_to_end"]}
     record = {
         "commits": {"parent": _git("rev-parse", args.parent),
-                    "change": _git("rev-parse", "HEAD"),
-                    "change_uncommitted": _git("status", "--porcelain").splitlines()},
+                    "change": _git("rev-parse", "HEAD")},
         "python": platform.python_version(), "numpy": np.__version__,
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
                      "order": "parent first on even pairs, change first on odd"},
         "runs": [], "traces": [],
     }
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": Path(tmp), "change": ROOT}
-        _extract(args.parent, trees["parent"])
+        trees = {side: Path(tmp, side) for side in SIDES}
+        for side in SIDES:
+            _extract(record["commits"][side], trees[side])
         for workload in workloads:
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
