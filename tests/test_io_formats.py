@@ -731,6 +731,20 @@ class TestReportDocument:
         assert report.absent == dict.fromkeys(ABSENT_METRICS, "no fit")
         assert report_from_text(report_to_text(doc)) == doc
 
+    def test_blank_lines_are_skipped(self):
+        text = report_to_text(sample_document())
+        spaced = "\n" + text.replace("\n", "\n\n") + "  \n"
+        assert report_from_text(spaced) == report_from_text(text)
+
+    def test_missing_key_is_refused(self):
+        lines = report_to_text(sample_document()).splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith("r0 = "))
+        assert len(text) < sum(map(len, lines))
+        with pytest.raises(TableParseError) as exc_info:
+            report_from_text(text)
+        assert str(exc_info.value) == "missing key 'r0'"
+        assert exc_info.value.line_no is None
+
     def test_reader_rejects_unexplained_absence(self):
         text = report_to_text(sample_document())
         with pytest.raises(TableParseError, match="lambda_hat"):
