@@ -6,12 +6,17 @@ keyword-only. A record binds its arguments to its class's `__signature__`,
 runs `__post_init__` (which may set a field with `object.__setattr__`),
 stores each dict field as a read-only copy and then refuses assignment and
 deletion. Eq, hash and repr follow the type and the fields, as a frozen
-dataclass's do, but defining a record class runs no `exec`, and a record
-is no dataclass: `dataclasses.fields` and `replace` raise TypeError on it.
+dataclass's do, except that array fields, and arrays in mapping fields,
+compare by `np.array_equal`. Defining a record class runs no `exec`, and a
+record is no dataclass: `dataclasses.fields` and `replace` raise TypeError
+on it.
 """
 
+from collections.abc import Mapping
 from inspect import Parameter, Signature
 from types import MappingProxyType
+
+import numpy as np
 
 
 class Record:
@@ -48,7 +53,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return vars(self) == vars(other)
+        return all(map(_equal, vars(self).values(), vars(other).values()))
 
     def __hash__(self):
         return hash(tuple(vars(self).values()))
@@ -61,6 +66,18 @@ class Record:
         # pickle and deepcopy rebuild the record; a read-only copy goes as a dict
         return _build, (type(self), {name: dict(value) if type(value) is MappingProxyType
                                      else value for name, value in vars(self).items()})
+
+
+def _equal(a, b) -> bool:
+    """Field equality: == on two arrays gives an array, so arrays, also as
+    the values of a mapping, compare by np.array_equal."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        return a.keys() == b.keys() and all(_equal(a[key], b[key]) for key in a)
+    return a == b
 
 
 def _build(cls, values: dict) -> Record:

@@ -2,22 +2,26 @@
 
 It binds arguments as a frozen dataclass's generated `__init__` does,
 refuses assignment and deletion, and gives eq, hash and repr by type and
-fields. `fields` and `replace` stand in for the `dataclasses` functions,
-which refuse a record.
+fields; array fields, and arrays in mapping fields, compare by value.
+`fields` and `replace` stand in for the `dataclasses` functions, which
+refuse a record.
 """
 
 import copy
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 
-from risktraj.config import IntegratorConfig, LoadPolicy
+from risktraj.config import DisturbanceSignal, IntegratorConfig, LoadPolicy
+from risktraj.dynamics import integrate, linear_decay_system
 from risktraj.errors import ParameterError
-from risktraj.io_formats import ReportDocument
+from risktraj.io_formats import ReportDocument, TrajectoryTable
 from risktraj.metrics import ResilienceReport
 from risktraj.record import Record, fields, replace
 from risktraj.scenario import default_config
+from risktraj.trajectory import TimeGrid, Trajectory
 
 
 class Point(Record):
@@ -93,6 +97,25 @@ def test_eq_and_hash_follow_the_type_and_the_fields():
     doc = ReportDocument.from_report(report, "external", "sha256:0011223344556677")
     assert doc != report and report != doc
     assert replace(report) == report
+
+
+def test_array_fields_compare_by_value():
+    grid = TimeGrid(0.0, 0.5, 4)
+    t, values = grid.times(), np.array([1.0, 2.0, 3.0, 4.0])
+    changed = values.copy()
+    changed[2] = 3.5
+    assert Trajectory(grid, values) == Trajectory(grid, values.copy())
+    assert Trajectory(grid, values) != Trajectory(grid, changed)
+    table = TrajectoryTable(t=t, signals={"E": values, "r": values})
+    assert table == TrajectoryTable(t=t.copy(), signals={"E": values.copy(), "r": values})
+    assert table != TrajectoryTable(t=t, signals={"E": values, "r": changed})
+    assert table != TrajectoryTable(t=t + 1.0, signals={"E": values, "r": values})
+    assert table != TrajectoryTable(t=t, signals={"E": values})
+    config = IntegratorConfig(dt=0.5, t_start=0.0, t_end=1.5)
+    runs = [integrate(linear_decay_system(1.0), 1.0, DisturbanceSignal(), config)
+            for _ in range(2)]
+    assert runs[0] is not runs[1] and runs[0] == runs[1]
+    assert runs[0] != replace(runs[0], inputs=Trajectory(grid, changed))
 
 
 def test_repr_names_the_type_and_every_field():
