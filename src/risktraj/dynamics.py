@@ -91,8 +91,7 @@ class DynamicalSystem(Record):
 
 
 class IntegrationResult(Record):
-    """Recorded state (a 1-tuple), the observable, the mode track and the
-    input the steps read at each grid time."""
+    """Recorded state (a 1-tuple), observable, mode track and grid-time input."""
 
     grid: TimeGrid
     states: tuple[Trajectory, ...]

@@ -6,13 +6,11 @@ keyword-only. A record binds its arguments to its class's `__signature__`,
 runs `__post_init__` (which may set a field with `object.__setattr__`),
 stores each dict field as a read-only copy and then refuses assignment and
 deletion. Eq, hash and repr follow the type and the fields, as a frozen
-dataclass's do, except that array fields, and arrays in mapping fields,
-compare by `np.array_equal`. Defining a record class runs no `exec`, and a
-record is no dataclass: `dataclasses.fields` and `replace` raise TypeError
-on it.
+dataclass's do (arrays, also in a dict field, compare by value), but
+defining a record class runs no `exec`, and a record is no dataclass:
+`dataclasses.fields` and `replace` raise TypeError on it.
 """
 
-from collections.abc import Mapping
 from inspect import Parameter, Signature
 from types import MappingProxyType
 
@@ -69,15 +67,12 @@ class Record:
 
 
 def _equal(a, b) -> bool:
-    """Field equality: == on two arrays gives an array, so arrays, also as
-    the values of a mapping, compare by np.array_equal."""
-    if a is b:
-        return True
+    # == on two arrays gives an array, so arrays compare by np.array_equal
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.array_equal(a, b)
-    if isinstance(a, Mapping) and isinstance(b, Mapping):
+    if isinstance(a, MappingProxyType) and isinstance(b, MappingProxyType):
         return a.keys() == b.keys() and all(_equal(a[key], b[key]) for key in a)
-    return a == b
+    return a is b or a == b
 
 
 def _build(cls, values: dict) -> Record:

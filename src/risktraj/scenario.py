@@ -196,25 +196,19 @@ def run_case(case_id: str, config: ScenarioConfig) -> CaseResult:
     and r on the integration grid; the report is computed on the risk
     trajectory with t0 at the disturbance onset.
     """
-    system = build_case(case_id, config)
-    result = integrate(
-        system, config.energy.E_init, config.disturbance, config.integrator
-    )
-    energy = result.states[0]
-    risk = result.observable
+    result = integrate(build_case(case_id, config), config.energy.E_init,
+                       config.disturbance, config.integrator)
+    energy, risk = result.states[0], result.observable
     shed = np.array(result.modes, dtype=bool)
-    p_load = Trajectory(result.grid,
-                        _load_series(config.policies[case_id], energy.values, shed))
-
-    report = assemble_report(risk, config.t0, config.metrics)
+    p_load = _load_series(config.policies[case_id], energy.values, shed)
     return CaseResult(
         case_id=case_id,
         energy=energy,
         p_in=result.inputs,
-        p_load=p_load,
+        p_load=Trajectory(result.grid, p_load),
         risk=risk,
         shed=result.modes,
-        report=report,
+        report=assemble_report(risk, config.t0, config.metrics),
     )
 
 
