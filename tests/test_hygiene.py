@@ -5,9 +5,10 @@ Every import in a module of src/risktraj is used in that module, and
 every module-level single-underscore name is referenced somewhere in the
 package, so a deletion cannot leave an unused import or helper behind.
 Only trajectory.py rounds a time to a sample index: TimeGrid owns that
-arithmetic and the exactness it needs far from t = 0. The integrator
-takes one path: every system hook has a default, so no hook is tested
-for None.
+arithmetic and the exactness it needs far from t = 0. Only
+`dynamics.integrate` evaluates a system's input, which it returns with
+the states. The integrator takes one path: every system hook has a
+default, so no hook is tested for None.
 """
 
 import ast
