@@ -12,7 +12,7 @@ from .errors import ConfigurationError, ParameterError
 from .io_formats import CASE_IDS
 from .metrics import MetricsConfig
 from .record import Record
-from .trajectory import tail_length
+from .trajectory import TimeGrid, tail_length
 
 # Most steps one run may take; a sweep may also visit at most this many
 # values, since each value runs at least one step per case.
@@ -82,6 +82,9 @@ class IntegratorConfig(Record):
 
     def n_steps(self) -> int:
         return round((self.t_end - self.t_start) / self.dt)
+
+    def grid(self) -> TimeGrid:
+        return TimeGrid(self.t_start, self.dt, self.n_steps() + 1)
 
 
 class EnergyParams(Record):
@@ -226,7 +229,7 @@ class ScenarioConfig(Record):
         if horizon is not None and horizon < self.t0:
             raise ConfigurationError(f"horizon {horizon} precedes t0 {self.t0}")
         if self.metrics.baseline_mode == "steady_state":
-            tail_length(self.metrics.tail_fraction, self.integrator.n_steps() + 1)
+            tail_length(self.metrics.tail_fraction, self.integrator.grid().n_samples)
         # the solar phase 2*pi*t/period must stay finite on the whole grid
         t_far = max(abs(self.integrator.t_start), abs(self.integrator.t_end))
         if not math.isfinite(2.0 * math.pi * t_far / self.solar.period):

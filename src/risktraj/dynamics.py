@@ -3,7 +3,7 @@
 The state is one Python float, stepped without numpy so a step costs a
 few microseconds of interpreter time. Everything that depends on time
 only (the disturbance and the system's forcing) is sampled with numpy
-once per block of steps, so the step loop reads plain floats from lists.
+once per run, and the step loop reads Python floats from memoryviews.
 Time reaches a system only through its input: it is described by its
 right-hand side f(x, u, mode), where the mode is a discrete companion
 state (e.g. a load-shedding flag) that its mode_update hook applies once
@@ -19,7 +19,7 @@ equals the scalar loop's bit for bit, because both evaluate the same
 floating-point expressions in the same order. The mode update takes the
 grid index of the step rather than its time, so one law serves both
 paths: the scalar loop calls it with an int and a float, a pass with a
-slice of indices and the array of states.
+slice of indices and a view of the states, which it must not write.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ from .errors import IntegrationDivergedError, ParameterError
 from .record import Record
 from .trajectory import TimeGrid, Trajectory
 
-# Steps whose substep inputs are sampled at once: bounds the sampled
-# arrays and lists to a few hundred kB whatever the run length.
-_BLOCK_STEPS = 4096
-# Fewest steps a free-flight pass covers. The first pass covers a whole
-# block; after a pass that was free throughout the span doubles, and
+# Most steps a free-flight pass covers: bounds its temporary arrays to a
+# few hundred kB whatever the run length.
+_MAX_SPAN = 4096
+# Fewest steps a free-flight pass covers. The first pass may cover the
+# most; after a pass that was free throughout the span doubles, and
 # after one that stopped short it is twice the steps that pass kept. A
 # pass thus computes at most about twice the steps it keeps plus this
 # many, which keeps the array work linear in the run length.
@@ -56,23 +56,24 @@ class DynamicalSystem(Record):
     mode. forcing(times, d) maps an array of substep times and the
     disturbance sampled there (1 outside a pulse) to the array of u
     values; it must be vectorised and depend on time only, and by default
-    u is d itself. integrate() calls it once per block of steps, never
-    inside the step loop. mode_update(k, x, mode) is called with the grid
-    index k and the state there, once at the start of every step (never
-    inside substeps) and once with k = n_steps at the end time; by
-    default it keeps mode_init. project maps the state to the admissible
-    set after every step (state constraints such as storage saturation)
-    and must let NaN through so divergence is still reported.
-    output_map(states) is called once on the recorded state array and
-    returns the observable array. Both are the identity by default.
-    free_flight maps each (hashable) mode to (load, lo, hi): for every
-    lo < x < hi, rhs(x, u, mode) must equal u - load bit for bit and
-    project(x) must be x itself. integrate() then steps such stretches in
-    numpy passes, calling mode_update(steps, x, mode) with the slice of
-    grid indices and the array of states there, so the law must accept
-    arrays too (a scalar result means the mode cannot change). States and
-    modes equal the scalar loop's, bit for bit. A mode without an entry
-    never flies; by default the table is empty.
+    u is d itself. integrate() calls it once per run, on the grid times
+    followed by the step midpoints, and refuses a result of another
+    shape. mode_update(k, x, mode) is called with the grid index k and
+    the state there, once at the start of every step (never inside
+    substeps) and once with k = n_steps at the end time; by default it
+    keeps mode_init. project maps the state to the admissible set after
+    every step (state constraints such as storage saturation) and must
+    let NaN through so divergence is still reported. output_map(states)
+    is called once on the recorded state array and returns the
+    observable array. Both are the identity by default. free_flight maps
+    each (hashable) mode to (load, lo, hi): for every lo < x < hi,
+    rhs(x, u, mode) must equal u - load bit for bit and project(x) must
+    be x itself. integrate() then steps such stretches in numpy passes,
+    calling mode_update(steps, x, mode) with the slice of grid indices
+    and a view of the states there, which it must not write to; so the
+    law must accept arrays too (a scalar result means the mode cannot
+    change). States and modes equal the scalar loop's, bit for bit. A
+    mode without an entry never flies; by default the table is empty.
     A hook passed as None is refused; leave it out for its default.
     """
 
@@ -100,33 +101,32 @@ class IntegrationResult(Record):
     inputs: Trajectory
 
 
-def _flight(x, mode, free, mode_update, steps, u0, um, u1, dt):
-    """Free-flight pass in mode over the steps whose inputs are u0, um, u1.
+def _flight(states, j, e, mode, free, mode_update, inputs, mid, dt):
+    """Free-flight pass in mode over the steps j to e, exclusive.
 
-    x is the state at the first step; steps is the slice of their grid
-    indices. Returns (p, states): the first p steps are free, and
-    states[i] is the state after i of them, computed as the scalar loop
-    computes it. free is the mode's (load, lo, hi) entry.
+    From states[j], it writes the state after each step into
+    states[j + 1:e + 1], computed as the scalar loop computes it, and
+    returns p: the first p steps are free. free is the mode's (load, lo,
+    hi) entry; inputs and mid are the run's sampled input.
     """
     load, lo, hi = free
     half, sixth = 0.5 * dt, dt / 6.0
+    run = states[j:e + 1]
     # Steps that overflow are not free and go to the scalar loop, so the
     # array arithmetic on them is discarded without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        k1, k2, k4 = u0 - load, um - load, u1 - load
-        states = np.empty(len(k1) + 1)
-        states[0] = x
-        states[1:] = sixth * (k1 + 2.0 * (k2 + k2) + k4)
+        k1, k2, k4 = inputs[j:e] - load, mid[j:e] - load, inputs[j + 1:e + 1] - load
+        run[1:] = sixth * (k1 + 2.0 * (k2 + k2) + k4)
         # add.accumulate adds in order, so each state is x + inc as in the loop
-        np.cumsum(states, out=states)
-        x = states[:-1]
+        np.cumsum(run, out=run)
+        x = run[:-1]
         sub = (x + half * k1, x + half * k2, x + dt * k2)
         low = np.minimum(np.minimum(x, sub[0]), np.minimum(sub[1], sub[2]))
         high = np.maximum(np.maximum(x, sub[0]), np.maximum(sub[1], sub[2]))
         # NaN fails both comparisons, so a diverging step is never free
-        ok = (lo < low) & (high < hi) & (mode_update(steps, x, mode) == mode)
+        ok = (lo < low) & (high < hi) & (mode_update(slice(j, e), x, mode) == mode)
     p = int(np.argmin(ok))
-    return (p if not ok[p] else len(ok)), states
+    return p if not ok[p] else len(ok)
 
 
 def integrate(
@@ -141,10 +141,11 @@ def integrate(
     pulse), mapped through system.forcing, is evaluated
     at (t, t+dt/2, t+dt/2, t+dt) and held fixed within each substep; pulse
     edges are not located sub-step, so keep dt small relative to the
-    pulse duration. The input is sampled once per block of steps, at each
-    substep time exactly once. Each step that starts strictly inside its
-    mode's free-flight interval opens a numpy pass over the following
-    steps of its block; the pass keeps the steps up to the first one that
+    pulse duration. The input is sampled once per run, at each substep
+    time exactly once; the midpoints add 8 bytes per step to the memory a
+    run holds. Each step that starts strictly inside its mode's
+    free-flight interval opens a numpy pass over at most _MAX_SPAN
+    following steps; the pass keeps the steps up to the first one that
     leaves its mode's interval (with any substep state), changes the mode
     or is not finite, and that step falls to the scalar loop. The input at
     each grid time is returned too, so it must be finite there.
@@ -155,7 +156,7 @@ def integrate(
     x = x0.item()
     if not math.isfinite(x):
         raise ParameterError("x0 must be finite")
-    if disturbance.window is not None and disturbance.duration < 10 * config.dt:
+    if disturbance.window is not None and 0.0 < disturbance.duration < 10 * config.dt:
         warnings.warn(
             f"pulse duration {disturbance.duration} is below 10*dt={10 * config.dt}; "
             "edge errors may dominate",
@@ -163,12 +164,18 @@ def integrate(
         )
 
     n_steps = config.n_steps()
-    grid = TimeGrid(config.t_start, config.dt, n_steps + 1)
+    grid = config.grid()
     dt = config.dt
     half, sixth = 0.5 * dt, dt / 6.0
-
-    def sample(times: np.ndarray) -> np.ndarray:
-        return system.forcing(times, disturbance.sample(times))
+    # the input at each grid time, then at each step's midpoint
+    times = grid.times()
+    times = np.concatenate((times, times[:-1] + half))
+    sampled = np.asarray(system.forcing(times, disturbance.sample(times)), dtype=float)
+    if sampled.shape != times.shape:
+        raise ParameterError(
+            f"forcing returned shape {sampled.shape} for times of shape {times.shape}")
+    inputs, mid = sampled[:n_steps + 1], sampled[n_steps + 1:]
+    u_grid, u_mid = memoryview(inputs), memoryview(mid)  # read as Python floats
 
     rhs, mode_update, mode = system.rhs, system.mode_update, system.mode_init
     project = system.project
@@ -189,46 +196,31 @@ def integrate(
     flight = system.free_flight
     flies = bool(flight)  # a system without a table never hashes its mode
     free = flight.get(mode, _NO_FLIGHT) if flies else _NO_FLIGHT  # the mode's entry
-    span = _BLOCK_STEPS
-
-    # the input at each grid time: a step starts on the one that ended the
-    # step before it, so each block samples its midpoints and its end times
-    inputs = np.empty(n_steps + 1)
-    inputs[0] = sample(grid.times(0, 1))[0]
-    for lo in range(0, n_steps, _BLOCK_STEPS):
-        m = min(_BLOCK_STEPS, n_steps - lo)
-        times = grid.times(lo, lo + m + 1)
-        sampled = sample(np.concatenate((times[:-1] + half, times[1:])))
-        edge, mid = inputs[lo:lo + m + 1], sampled[:m]
-        edge[1:] = sampled[m:]
-        a_edge, a_mid = edge.tolist(), mid.tolist()
-        j = 0  # steps of this block done
-        while j < m:
-            if free[1] < x < free[2]:
-                e = min(j + span, m)
-                k = lo + j
-                p, run = _flight(x, mode, free, mode_update, slice(k, lo + e),
-                                 edge[j:e], mid[j:e], edge[j + 1:e + 1], dt)
-                if p:
-                    states[k + 1:k + p] = run[1:p]
-                    x = store(k + p, run[p].item())
-                    modes += [mode] * p
-                j += p
-                if j == e:
-                    span = min(2 * span, _BLOCK_STEPS)
-                    continue
-                span = max(2 * p, _MIN_SPAN)
-            # one scalar step; the next turn opens a pass if it ends where one may
-            mode = mode_update(lo + j, x, mode)
-            free = flight.get(mode, _NO_FLIGHT) if flies else _NO_FLIGHT
-            modes.append(mode)
-            um = a_mid[j]
-            k1 = rhs(x, a_edge[j], mode)
-            k2 = rhs(x + half * k1, um, mode)
-            k3 = rhs(x + half * k2, um, mode)
-            k4 = rhs(x + dt * k3, a_edge[j + 1], mode)
-            x = store(lo + j + 1, x + sixth * (k1 + 2.0 * (k2 + k3) + k4))
-            j += 1
+    span = _MAX_SPAN
+    j = 0  # steps done
+    while j < n_steps:
+        if free[1] < x < free[2]:
+            e = min(j + span, n_steps)
+            p = _flight(states, j, e, mode, free, mode_update, inputs, mid, dt)
+            if p:
+                x = store(j + p, states.item(j + p))
+                modes += [mode] * p
+            j += p
+            if j == e:
+                span = min(2 * span, _MAX_SPAN)
+                continue
+            span = max(2 * p, _MIN_SPAN)
+        # one scalar step; the next turn opens a pass if it ends where one may
+        mode = mode_update(j, x, mode)
+        free = flight.get(mode, _NO_FLIGHT) if flies else _NO_FLIGHT
+        modes.append(mode)
+        um = u_mid[j]
+        k1 = rhs(x, u_grid[j], mode)
+        k2 = rhs(x + half * k1, um, mode)
+        k3 = rhs(x + half * k2, um, mode)
+        k4 = rhs(x + dt * k3, u_grid[j + 1], mode)
+        j += 1
+        x = store(j, x + sixth * (k1 + 2.0 * (k2 + k3) + k4))
 
     modes.append(mode_update(n_steps, x, mode))
     return IntegrationResult(

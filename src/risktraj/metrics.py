@@ -159,7 +159,7 @@ def estimate_damping(
             f"need {config.min_fit_samples}"
         )
     seg = dev[:stop]
-    t_seg = traj.grid.times()[i_pk:i_pk + stop]
+    t_seg = traj.grid.times(i_pk, i_pk + stop)
     y = np.log(seg)
     tc = t_seg - np.mean(t_seg)
     # numpy's pairwise sums: no BLAS, so no bit follows the thread count

@@ -22,7 +22,7 @@ from .errors import ConfigurationError
 from .io_formats import CASE_IDS, DEFAULT_CONFIG_PATH, read_scenario_config
 from .metrics import ResilienceReport, assemble_report
 from .record import Record
-from .trajectory import TimeGrid, Trajectory
+from .trajectory import Trajectory
 
 
 def input_power(
@@ -82,8 +82,7 @@ def _shed_law(policy: LoadPolicy, config: ScenarioConfig):
         return hysteresis
     spent = policy.P0 * policy.horizon
     E_target = policy.E_target
-    integ = config.integrator
-    times = TimeGrid(integ.t_start, integ.dt, integ.n_steps() + 1).times()
+    times = config.integrator.grid().times()
     with np.errstate(over="ignore", invalid="ignore"):
         inflow = _inflow(config.solar, times, times + policy.horizon)
     # inf - inf would make the forecast NaN, which never sheds

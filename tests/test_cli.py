@@ -479,6 +479,15 @@ class TestCompare:
 
 
 class TestSweep:
+    def test_pulse_of_no_length_gives_no_advisory(self, tmp_path, capsys):
+        code = main(["sweep", "--param", "disturbance.duration_s", "--range", "0:0.5:2",
+                     "--set", "integrator.dt_s=0.5", "--out", str(tmp_path / "s.csv")])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: pulse duration 0.5 is below 10*dt=5.0; "
+            "edge errors may dominate\n"
+        )
+
     def test_single_point_matches_compare(self, tmp_path):
         sweep_out = tmp_path / "sweep.csv"
         code = main(["sweep", "--param", "disturbance.magnitude",

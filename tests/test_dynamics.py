@@ -142,6 +142,16 @@ class TestIntegrate:
         with pytest.raises(ParameterError, match="non-finite value at t=0.5"):
             run(system, [0.0], IntegratorConfig(dt=0.25, t_start=0.0, t_end=1.0))
 
+    @pytest.mark.parametrize("forcing", [
+        lambda times, d: np.append(d, 1.0),  # one value too many
+        lambda times, d: 1.0,  # one value for the whole run
+    ], ids=["too_long", "scalar"])
+    def test_forcing_of_the_wrong_shape_is_refused(self, forcing):
+        # 4 steps: 5 grid times and 4 midpoints
+        system = DynamicalSystem(rhs=lambda x, u, _m: u, forcing=forcing)
+        with pytest.raises(ParameterError, match=r"shape \(\d*,?\) for times of shape \(9,\)"):
+            run(system, [0.0], IntegratorConfig(dt=0.25, t_start=0.0, t_end=1.0))
+
     def test_divergence_reports_time(self):
         system = DynamicalSystem(rhs=lambda x, d, _m: x * x)
         with pytest.raises(IntegrationDivergedError) as exc_info:
@@ -188,6 +198,17 @@ class TestIntegrate:
             warnings.simplefilter("error")
             run(linear_decay_system(1.0), [1.0], config,
                 DisturbanceSignal(kind="none", duration=0.5))
+
+    def test_pulse_of_no_length_is_no_pulse(self):
+        # [onset, onset) holds no time: no advisory, and the states of no pulse
+        config = IntegratorConfig(dt=0.5, t_start=0.0, t_end=4.0)
+        system = DynamicalSystem(rhs=lambda x, u, _m: u - x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = run(system, [1.0], config, DisturbanceSignal(
+                kind="pulse", onset=1.0, duration=0.0, magnitude=0.0))
+        assert empty.states[0].values.tobytes() == run(
+            system, [1.0], config).states[0].values.tobytes()
 
     def test_mode_updates_once_per_step(self):
         # mode counts steps; rhs slope follows the frozen mode

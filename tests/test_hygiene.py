@@ -5,10 +5,12 @@ Every import in a module of src/risktraj is used in that module, and
 every module-level single-underscore name is referenced somewhere in the
 package, so a deletion cannot leave an unused import or helper behind.
 Only trajectory.py rounds a time to a sample index: TimeGrid owns that
-arithmetic and the exactness it needs far from t = 0. Only
-`dynamics.integrate` evaluates a system's input, which it returns with
-the states. The integrator takes one path: every system hook has a
-default, so no hook is tested for None.
+arithmetic and the exactness it needs far from t = 0. A run's grid has
+one owner, `IntegratorConfig.grid()`, so only config.py, trajectory.py
+and io_formats.py (which rebuilds a grid from a file's times) build a
+TimeGrid. Only `dynamics.integrate` evaluates a system's input, which it
+returns with the states. The integrator takes one path: every system
+hook has a default, so no hook is tested for None.
 """
 
 import ast
@@ -70,6 +72,15 @@ def test_only_the_time_grid_rounds_times_to_samples():
              for node in ast.walk(tree) if _is_math_rounding(node)
              if any(isinstance(sub, ast.Attribute) and sub.attr == "dt"
                     for arg in node.args for sub in ast.walk(arg))]
+    assert found == []
+
+
+def test_only_the_config_builds_a_run_grid():
+    owners = {"config.py", "trajectory.py", "io_formats.py"}
+    found = [f"{module}:{node.lineno}"
+             for module, tree in MODULES.items() if module not in owners
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and "TimeGrid" in _loaded_names(node.func)]
     assert found == []
 
 

@@ -262,12 +262,13 @@ def test_forcing_and_divergence_match_per_step_reference(window, blowup):
 
 
 def _probed_run(free_flight):
-    """Counted rhs/mode_update/project calls and the forcing's times."""
+    """Counted rhs/mode_update/project/forcing calls, the forcing's times
+    and the types of the inputs rhs was handed."""
     config = replace(
         default_config(), integrator=IntegratorConfig(dt=0.02, t_start=0.0, t_end=144.0))
     integ = config.integrator
     system = build_case("anticipatory", config)
-    calls, seen = Counter(), []
+    calls, seen, kinds = Counter(), [], set()
 
     def counted(name, fn):
         def call(*args):
@@ -279,13 +280,17 @@ def _probed_run(free_flight):
         seen.extend(times.tolist())
         return system.forcing(times, d)
 
+    def rhs(x, u, mode):
+        kinds.add(type(u))
+        return system.rhs(x, u, mode)
+
     probe = replace(
-        system, rhs=counted("rhs", system.rhs),
+        system, rhs=counted("rhs", rhs),
         mode_update=counted("mode_update", system.mode_update),
-        project=counted("project", system.project), forcing=forcing,
+        project=counted("project", system.project), forcing=counted("forcing", forcing),
         free_flight=system.free_flight if free_flight else {})
     integrate(probe, config.energy.E_init, config.disturbance, integ)
-    return calls, seen, integ
+    return calls, seen, kinds, integ
 
 
 def _assert_sampled_once(seen, integ):
@@ -300,17 +305,26 @@ def test_each_substep_input_sampled_once():
     # mode update and one projection, and each substep time reaches the
     # forcing exactly once, over a run that spans two sampling blocks.
     # Free flight is off, so every step takes the scalar path.
-    calls, seen, integ = _probed_run(free_flight=False)
+    calls, seen, _, integ = _probed_run(free_flight=False)
     n = integ.n_steps()
     assert n > 4096
-    assert calls == {"rhs": 4 * n, "mode_update": n + 1, "project": n + 1}
+    assert calls == {"rhs": 4 * n, "mode_update": n + 1, "project": n + 1, "forcing": 1}
     _assert_sampled_once(seen, integ)
 
 
 def test_each_substep_input_sampled_once_in_free_flight():
-    calls, seen, integ = _probed_run(free_flight=True)
+    calls, seen, _, integ = _probed_run(free_flight=True)
     assert 0 < calls["rhs"] < 4 * integ.n_steps()
+    assert calls["forcing"] == 1
     _assert_sampled_once(seen, integ)
+
+
+@pytest.mark.parametrize("free_flight", [False, True])
+def test_scalar_loop_hands_rhs_python_floats(free_flight):
+    # the step reads the sampled arrays as Python floats, never numpy scalars
+    calls, _, kinds, _ = _probed_run(free_flight)
+    assert calls["rhs"] > 0
+    assert kinds == {float}
 
 
 @pytest.mark.parametrize("shape, dt", [
