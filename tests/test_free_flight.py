@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from risktraj.config import DisturbanceSignal, IntegratorConfig, LoadPolicy
-from risktraj.dynamics import _BLOCK_STEPS, DynamicalSystem, integrate
+from risktraj.dynamics import _MAX_SPAN, DynamicalSystem, integrate
 from risktraj.errors import IntegrationDivergedError, ParameterError
 from risktraj.io_formats import apply_overrides, config_to_parser, parser_to_config
 from risktraj.record import replace
@@ -148,8 +148,8 @@ def test_array_work_linear_when_held_on_a_bound(name):
     n = config.integrator.n_steps()
     energy = result.states[0].values
     assert np.count_nonzero((energy == 0.0) | (energy == config.energy.E_max)) > 400
-    blocks = -(-n // _BLOCK_STEPS)
-    assert passes <= scalar + blocks + _switches(result.modes)
+    spans = -(-n // _MAX_SPAN)
+    assert passes <= scalar + spans + _switches(result.modes)
     assert computed <= 3 * n
 
 

@@ -1,14 +1,14 @@
-"""The block-sampled input against the per-step loop it replaced.
+"""The run-sampled input against the per-step loop it replaced.
 
 `integrate` samples the disturbance and the system's forcing once per
-block of steps, and the scenario's right-hand side reads the sampled
-input. The reference below is a self-contained copy of the loop that
-evaluated the input inside every substep, with the scenario laws it
-stepped (scalar `math.sin`, a closure per input); the two must agree bit
-for bit across block boundaries. The reference raises to the shape with
-numpy's power on a one-element array, as the scenario does on its
-blocks: numpy computes s**2 as s*s, and its pow on one element gives the
-same bits as on a block.
+run, and the scenario's right-hand side reads the sampled input. The
+reference below is a self-contained copy of the loop that evaluated the
+input inside every substep, with the scenario laws it stepped (scalar
+`math.sin`, a closure per input); the two must agree bit for bit, on
+runs shorter and longer than a free-flight pass may be. The reference
+raises to the shape with numpy's power on a one-element array, as the
+scenario does on the whole run's times: numpy computes s**2 as s*s, and
+its pow on one element gives the same bits as on many.
 """
 
 import math
@@ -33,7 +33,7 @@ from risktraj.metrics import MetricsConfig
 from risktraj.record import replace
 from risktraj.scenario import CASE_IDS, build_case, default_config, run_case
 
-# Step counts on both sides of the 4,096-step sampling block.
+# Step counts on both sides of the 4,096-step cap on a free-flight pass.
 STEP_COUNTS = (4095, 4096, 4097, 8193)
 
 
@@ -228,7 +228,7 @@ def test_scenario_matches_per_step_reference(run):
 @given(windows(), st.floats(0.2, 2.0))
 def test_forcing_and_divergence_match_per_step_reference(window, blowup):
     # dx/dt ~ u*x^2 blows up near t_start + blowup*span, so some runs
-    # diverge in the first block, some later and some not at all.
+    # diverge in the first 4,096 steps, some later and some not at all.
     t_start, dt, n_steps, disturbance = window
     x0 = 1.0 / (blowup * n_steps * dt)
 
@@ -303,7 +303,7 @@ def _assert_sampled_once(seen, integ):
 def test_each_substep_input_sampled_once():
     # A structural guard, not a timing: a step costs four rhs calls, one
     # mode update and one projection, and each substep time reaches the
-    # forcing exactly once, over a run that spans two sampling blocks.
+    # forcing exactly once, in one call, over a run longer than a pass may be.
     # Free flight is off, so every step takes the scalar path.
     calls, seen, _, integ = _probed_run(free_flight=False)
     n = integ.n_steps()
